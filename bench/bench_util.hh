@@ -19,15 +19,15 @@
  * snapshot (provenance-strict), and `--version` prints the build's
  * git SHA, build type, and snapshot format version (the values
  * stamped into every snapshot header).
- * Unknown flags, flags missing their value, and malformed `--jobs`
- * values (0, signs, non-digits) are errors: usage goes to stderr
- * and the bench exits with status 2.
+ * Unknown flags, flags missing their value, and malformed numeric
+ * values (signs, non-digits, trailing junk; 0 where it would mean an
+ * empty run, e.g. `--jobs 0`) are errors: usage goes to stderr and
+ * the bench exits with status 2.
  */
 
 #ifndef XUI_BENCH_BENCH_UTIL_HH
 #define XUI_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -96,40 +96,6 @@ policyUsageNames()
 {
     return "off|next_only_edge|next_only_level|next_or_missed_edge|"
            "next_or_missed_level|moderated|adaptive";
-}
-
-/** Strict decimal parse: digits only, no sign, no trailing junk. */
-inline bool
-parseU64Strict(const char *v, std::uint64_t &out)
-{
-    if (v == nullptr || *v == '\0')
-        return false;
-    for (const char *p = v; *p != '\0'; ++p)
-        if (*p < '0' || *p > '9')
-            return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long x = std::strtoull(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0')
-        return false;
-    out = x;
-    return true;
-}
-
-/** Strict positive-double parse (no trailing junk, finite, > 0). */
-inline bool
-parsePositiveDouble(const char *v, double &out)
-{
-    if (v == nullptr || *v == '\0')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    double x = std::strtod(v, &end);
-    if (errno != 0 || end == v || *end != '\0' || !(x > 0.0) ||
-        !(x < 1e12))
-        return false;
-    out = x;
-    return true;
 }
 
 struct Options
@@ -230,7 +196,15 @@ parseArgs(int argc, char **argv)
                 printUsage(stderr, argv[0]);
                 std::exit(2);
             }
-            opts.seed = std::strtoull(argv[++i], nullptr, 10);
+            const char *v = argv[++i];
+            if (!exec::parseU64Strict(v, opts.seed)) {
+                std::fprintf(stderr,
+                             "%s: --seed needs a non-negative "
+                             "integer, got '%s'\n",
+                             argv[0], v);
+                printUsage(stderr, argv[0]);
+                std::exit(2);
+            }
         } else if (std::strcmp(arg, "--jobs") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s: --jobs needs a value\n",
@@ -281,7 +255,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.itrNs)) {
+            if (!exec::parseU64Strict(v, opts.itrNs)) {
                 std::fprintf(stderr,
                              "%s: --itr-ns needs a non-negative "
                              "integer, got '%s'\n",
@@ -298,7 +272,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parsePositiveDouble(v, opts.offeredLoad)) {
+            if (!exec::parsePositiveDouble(v, opts.offeredLoad)) {
                 std::fprintf(stderr,
                              "%s: --offered-load needs a positive "
                              "number, got '%s'\n",
@@ -315,7 +289,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.rtVector) ||
+            if (!exec::parseU64Strict(v, opts.rtVector) ||
                 opts.rtVector >= 64) {
                 std::fprintf(stderr,
                              "%s: --rt-vector needs an integer in "
@@ -333,7 +307,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.rtPriority) ||
+            if (!exec::parseU64Strict(v, opts.rtPriority) ||
                 opts.rtPriority >= kNumPriorityLevels) {
                 std::fprintf(stderr,
                              "%s: --priority needs an integer in "
@@ -351,7 +325,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.counterStride)) {
+            if (!exec::parseU64Strict(v, opts.counterStride)) {
                 std::fprintf(stderr,
                              "%s: --counter-stride needs a "
                              "non-negative integer, got '%s'\n",
@@ -370,7 +344,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.detailWindow) ||
+            if (!exec::parseU64Strict(v, opts.detailWindow) ||
                 opts.detailWindow == 0) {
                 std::fprintf(stderr,
                              "%s: --detail-window needs an integer "
@@ -389,7 +363,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.checkpointEvery) ||
+            if (!exec::parseU64Strict(v, opts.checkpointEvery) ||
                 opts.checkpointEvery == 0) {
                 std::fprintf(stderr,
                              "%s: --checkpoint-every needs an "

@@ -1,6 +1,7 @@
 #include "exec/sweep.hh"
 
-#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <thread>
 
 namespace xui::exec
@@ -20,21 +21,45 @@ effectiveJobs(unsigned requested)
 }
 
 bool
-parseJobs(const char *text, unsigned &jobs)
+parseU64Strict(const char *text, std::uint64_t &out)
 {
     if (text == nullptr || *text == '\0')
         return false;
-    unsigned long value = 0;
+    std::uint64_t v = 0;
     for (const char *p = text; *p != '\0'; ++p) {
-        if (!std::isdigit(static_cast<unsigned char>(*p)))
+        if (*p < '0' || *p > '9')
             return false;
-        value = value * 10 + static_cast<unsigned long>(*p - '0');
-        if (value > 1024)
+        std::uint64_t d = static_cast<std::uint64_t>(*p - '0');
+        if (v > (~std::uint64_t(0) - d) / 10)
             return false;
+        v = v * 10 + d;
     }
-    if (value == 0)
+    out = v;
+    return true;
+}
+
+bool
+parsePositiveDouble(const char *text, double &out)
+{
+    if (text == nullptr || *text == '\0')
         return false;
-    jobs = static_cast<unsigned>(value);
+    errno = 0;
+    char *end = nullptr;
+    double x = std::strtod(text, &end);
+    if (errno != 0 || end == text || *end != '\0' || !(x > 0.0) ||
+        !(x < 1e12))
+        return false;
+    out = x;
+    return true;
+}
+
+bool
+parseJobs(const char *text, unsigned &jobs)
+{
+    std::uint64_t v = 0;
+    if (!parseU64Strict(text, v) || v == 0 || v > 1024)
+        return false;
+    jobs = static_cast<unsigned>(v);
     return true;
 }
 

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -50,6 +51,21 @@ unsigned hardwareJobs();
 
 /** Map a requested job count to an actual one (0 means auto). */
 unsigned effectiveJobs(unsigned requested);
+
+/**
+ * Strict unsigned decimal, the one numeric-flag parser of every
+ * bench and tool: a non-empty all-digit value that fits in 64 bits.
+ * Rejects signs, whitespace, suffixes, and overflow.
+ * @return false on malformed input (`out` untouched).
+ */
+bool parseU64Strict(const char *text, std::uint64_t &out);
+
+/**
+ * Strict positive double: the whole text parses, the value is
+ * finite and in (0, 1e12).
+ * @return false on malformed input (`out` untouched).
+ */
+bool parsePositiveDouble(const char *text, double &out);
 
 /**
  * Strict `--jobs N` parsing: accepts only a non-empty all-digit

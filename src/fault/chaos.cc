@@ -475,30 +475,42 @@ runFfBoundaryCell(const CellConfig &cfg)
     core.kbTimer().setTimer(0, 600 + rng.nextBounded(1800),
                             KbTimerMode::Periodic);
 
-    auto armed = InterruptUnit::RaiseOutcome::Deliver;
-    core.intrUnit().setRaiseFaultHook(
-        [&](IntrSource, std::uint8_t) {
-            auto out = armed;
-            armed = InterruptUnit::RaiseOutcome::Deliver;
-            if (out == InterruptUnit::RaiseOutcome::Drop)
-                ++res.ffRaisesDropped;
+    using RaiseOutcome = InterruptUnit::RaiseOutcome;
+    struct FaultProbe : CoreProbe
+    {
+        fault::Injector *inj = nullptr;
+        CellResult *res = nullptr;
+        RaiseOutcome armed = RaiseOutcome::Deliver;
+
+        RaiseOutcome onRaise(IntrSource, std::uint8_t) override
+        {
+            RaiseOutcome out = armed;
+            armed = RaiseOutcome::Deliver;
+            if (out == RaiseOutcome::Drop)
+                ++res->ffRaisesDropped;
             return out;
-        });
-    core.setFfTransitionHook([&](bool, Cycles) -> Cycles {
-        auto d = inj.decide(fault::Site::FfTransition);
-        switch (d.action) {
-          case fault::Action::Delay:
-            return d.magnitude;
-          case fault::Action::Drop:
-            armed = InterruptUnit::RaiseOutcome::Drop;
-            return 0;
-          case fault::Action::Duplicate:
-            armed = InterruptUnit::RaiseOutcome::Duplicate;
-            return 0;
-          default:
-            return 0;
         }
-    });
+
+        Cycles onFfTransition(bool, Cycles) override
+        {
+            auto d = inj->decide(fault::Site::FfTransition);
+            switch (d.action) {
+              case fault::Action::Delay:
+                return d.magnitude;
+              case fault::Action::Drop:
+                armed = RaiseOutcome::Drop;
+                return 0;
+              case fault::Action::Duplicate:
+                armed = RaiseOutcome::Duplicate;
+                return 0;
+              default:
+                return 0;
+            }
+        }
+    } probe;
+    probe.inj = &inj;
+    probe.res = &res;
+    core.setProbe(&probe);
 
     // The inbox pops in arrival order, so queue the burst sorted.
     std::vector<Cycles> uipis =

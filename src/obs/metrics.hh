@@ -6,7 +6,7 @@
  * dot-separated name, e.g. "core0.intr.kbtimer.e2e") and keep the
  * returned pointer/reference; bumping it afterwards is one null
  * check plus an integer add — the same zero-cost-when-detached
- * convention as the pipeline Tracer. Three metric kinds cover the
+ * convention as the core's probe seam. Three metric kinds cover the
  * repo's needs:
  *
  *  - Counter: monotonically increasing event count;

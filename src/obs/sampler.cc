@@ -11,17 +11,19 @@ namespace xui
 PipelinePressureProfiler::PipelinePressureProfiler(
     const ProfileConfig &cfg, MetricsRegistry *metrics,
     TraceJsonWriter *trace)
-    : cfg_(cfg), metrics_(metrics), trace_(trace)
+    : cfg_(cfg),
+      metrics_(metrics),
+      trace_(trace),
+      sampling_(cfg.counterStride > 0 && trace != nullptr),
+      tax_(cfg.tax && metrics != nullptr)
 {}
 
 PipelinePressureProfiler::~PipelinePressureProfiler() = default;
 
-void
-PipelinePressureProfiler::attachCore(OooCore &core)
+CoreProbe *
+PipelinePressureProfiler::makeProbe(const OooCore &core)
 {
-    if (probeFor(core.id()) != nullptr)
-        return;  // one probe per core id; re-attach is a no-op
-    auto probe = std::make_unique<CoreProbe>();
+    auto probe = std::make_unique<Probe>();
     probe->owner = this;
     probe->coreId = core.id();
     probe->prevCycle = core.now();
@@ -38,47 +40,31 @@ PipelinePressureProfiler::attachCore(OooCore &core)
     probe->occTrack = "core" + id + " occupancy";
     probe->rateTrack = "core" + id + " rates";
     probe->memTrack = "core" + id + " mem";
-    // Counter tracks need both a stride and a trace sink; the tax
-    // engine needs the registry. With neither the probe is inert
-    // (and ObsSession does not attach one).
-    bool sampling = cfg_.counterStride > 0 && trace_ != nullptr;
-    probe->nextSampleAt = sampling
+    // With neither sampling nor tax the probe is inert (and
+    // ObsSession does not attach one).
+    probe->nextSampleAt = sampling_
                               ? core.now() + cfg_.counterStride
-                              : CycleHook::kNeverSample;
-    if (byCore_.size() <= core.id())
-        byCore_.resize(core.id() + 1, nullptr);
-    byCore_[core.id()] = probe.get();
-    core.setCycleHook(probe.get());
+                              : CoreProbe::kNeverSample;
     probes_.push_back(std::move(probe));
-}
-
-PipelinePressureProfiler::CoreProbe *
-PipelinePressureProfiler::probeFor(unsigned core_id)
-{
-    if (core_id >= byCore_.size())
-        return nullptr;
-    return byCore_[core_id];
+    return probes_.back().get();
 }
 
 bool
-PipelinePressureProfiler::inBurst(const CoreProbe &p,
-                                  Cycles now) const
+PipelinePressureProfiler::inBurst(const Probe &p, Cycles now) const
 {
     return p.pendingRaises > 0 || now <= p.burstUntil;
 }
 
 void
-PipelinePressureProfiler::intrStage(IntrStage stage,
-                                    std::uint64_t span_id,
-                                    IntrSource source,
-                                    std::uint8_t vector,
-                                    Cycles cycle, unsigned core_id)
+PipelinePressureProfiler::Probe::intrStage(IntrStage stage,
+                                           std::uint64_t span_id,
+                                           IntrSource source,
+                                           std::uint8_t vector,
+                                           Cycles cycle, unsigned)
 {
-    CoreProbe *p = probeFor(core_id);
-    if (p == nullptr)
-        return;
-    bool sampling = cfg_.counterStride > 0 && trace_ != nullptr;
-    bool tax = cfg_.tax && metrics_ != nullptr;
+    const bool sampling = owner->sampling_;
+    const bool tax = owner->tax_;
+    const Cycles burst = owner->cfg_.burstWindow;
     switch (stage) {
       case IntrStage::Raise:
         if (tax) {
@@ -86,58 +72,55 @@ PipelinePressureProfiler::intrStage(IntrStage stage,
             s.phase = Phase::Pend;
             s.source = source;
             s.vector = vector;
-            p->open.emplace(span_id, s);
-            ++p->liveSpans;
+            open.emplace(span_id, s);
+            ++liveSpans;
         }
         if (sampling) {
             // Burst: sample at the end of this very cycle and every
             // cycle until `burstWindow` past the last Deliver. The
             // detail demand keeps a fast-forwarding core in full
             // detail at least as long as the burst could run.
-            ++p->pendingRaises;
-            p->nextSampleAt = cycle;
-            p->wantDetailUntil = std::max(
-                p->wantDetailUntil, cycle + cfg_.burstWindow);
+            ++pendingRaises;
+            nextSampleAt = cycle;
+            wantDetailUntil = std::max(wantDetailUntil, cycle + burst);
         }
         break;
       case IntrStage::Accept:
         if (tax) {
-            auto it = p->open.find(span_id);
-            if (it != p->open.end())
+            auto it = open.find(span_id);
+            if (it != open.end())
                 it->second.phase = Phase::InjectWait;
         }
         break;
       case IntrStage::Inject:
       case IntrStage::Reinject:
         if (tax) {
-            auto it = p->open.find(span_id);
-            if (it != p->open.end())
+            auto it = open.find(span_id);
+            if (it != open.end())
                 it->second.phase = Phase::Ucode;
         }
         break;
       case IntrStage::Deliver:
         if (tax) {
-            auto it = p->open.find(span_id);
-            if (it != p->open.end())
+            auto it = open.find(span_id);
+            if (it != open.end())
                 it->second.phase = Phase::Handler;
         }
         if (sampling) {
-            if (p->pendingRaises > 0)
-                --p->pendingRaises;
-            p->burstUntil = std::max(p->burstUntil,
-                                     cycle + cfg_.burstWindow);
+            if (pendingRaises > 0)
+                --pendingRaises;
+            burstUntil = std::max(burstUntil, cycle + burst);
             // Sampled-detail runs must not fast-forward through the
             // burst tail: full fidelity through the window.
-            p->wantDetailUntil =
-                std::max(p->wantDetailUntil, p->burstUntil);
+            wantDetailUntil = std::max(wantDetailUntil, burstUntil);
         }
         break;
       case IntrStage::PreemptSave:
         // Preempting delivery: the frame spill is microcode on the
         // nested span's critical path — bucket it with ucode.
         if (tax) {
-            auto it = p->open.find(span_id);
-            if (it != p->open.end())
+            auto it = open.find(span_id);
+            if (it != open.end())
                 it->second.phase = Phase::Ucode;
         }
         break;
@@ -149,11 +132,11 @@ PipelinePressureProfiler::intrStage(IntrStage stage,
         // telescoping guarantee for the default (no-preemption)
         // configuration untouched.
         if (tax) {
-            auto it = p->open.find(span_id);
-            if (it != p->open.end()) {
-                rollup(*p, it->second);
-                p->open.erase(it);
-                --p->liveSpans;
+            auto it = open.find(span_id);
+            if (it != open.end()) {
+                owner->rollup(*this, it->second);
+                open.erase(it);
+                --liveSpans;
             }
         }
         break;
@@ -161,9 +144,8 @@ PipelinePressureProfiler::intrStage(IntrStage stage,
 }
 
 void
-PipelinePressureProfiler::CoreProbe::onCycle(const OooCore &core,
-                                             bool sampled,
-                                             bool live)
+PipelinePressureProfiler::Probe::onCycle(const OooCore &core,
+                                         bool sampled, bool live)
 {
     PipelinePressureProfiler &prof = *owner;
     if (live) {
@@ -192,7 +174,7 @@ PipelinePressureProfiler::CoreProbe::onCycle(const OooCore &core,
         }
     }
     if (sampled) {
-        if (prof.cfg_.counterStride > 0 && prof.trace_ != nullptr) {
+        if (prof.sampling_) {
             prof.sample(*this, core);
             nextSampleAt = core.now() +
                            (prof.inBurst(*this, core.now())
@@ -205,7 +187,7 @@ PipelinePressureProfiler::CoreProbe::onCycle(const OooCore &core,
 }
 
 void
-PipelinePressureProfiler::sample(CoreProbe &p, const OooCore &core)
+PipelinePressureProfiler::sample(Probe &p, const OooCore &core)
 {
     Cycles now = core.now();
     const CoreStats &s = core.stats();
@@ -287,7 +269,7 @@ PipelinePressureProfiler::taxIds(const std::string &stream)
 }
 
 void
-PipelinePressureProfiler::rollup(CoreProbe &p, const OpenSpan &span)
+PipelinePressureProfiler::rollup(Probe &p, const OpenSpan &span)
 {
     std::string base = "core" + std::to_string(p.coreId) + ".tax.";
     const TaxCounts &t = span.tax;

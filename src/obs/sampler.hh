@@ -3,9 +3,10 @@
  * Pipeline-pressure profiling: sampled counter tracks and the
  * interrupt-tax attribution engine.
  *
- * PipelinePressureProfiler attaches one CycleHook probe per core
- * and listens to the interrupt-lifecycle stream (via the same
- * observer path the span tracker uses). It produces two artifacts:
+ * PipelinePressureProfiler hands out one CoreProbe (uarch/probe.hh)
+ * per core. Each probe takes that core's interrupt-lifecycle stream
+ * and its gated end-of-tick callback, and no pipeline events. The
+ * profiler produces two artifacts:
  *
  *  1. **Counter tracks** (`--counter-stride N`): every N executed
  *     cycles the probe samples ROB/IQ/LQ/SQ occupancy, fetch/issue/
@@ -40,7 +41,7 @@
  *     `core<N>.tax.src.<source>.*` and `core<N>.tax.vec<V>.*`.
  *
  * Digest neutrality: the profiler only reads core state from the
- * end-of-tick hook and never touches the simulation; the golden
+ * end-of-tick callback and never touches the simulation; the golden
  * corpus re-runs with a profiler attached and pins bit-identical
  * digests.
  */
@@ -56,9 +57,8 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
-#include "uarch/cycle_hook.hh"
-#include "uarch/intr_observer.hh"
 #include "uarch/ooo_core.hh"
+#include "uarch/probe.hh"
 
 namespace xui
 {
@@ -90,7 +90,7 @@ struct TaxCounts
 };
 
 /** Samples counter tracks and attributes interrupt tax. */
-class PipelinePressureProfiler : public IntrLifecycleObserver
+class PipelinePressureProfiler
 {
   public:
     /**
@@ -101,7 +101,7 @@ class PipelinePressureProfiler : public IntrLifecycleObserver
     PipelinePressureProfiler(const ProfileConfig &cfg,
                              MetricsRegistry *metrics,
                              TraceJsonWriter *trace);
-    ~PipelinePressureProfiler() override;
+    ~PipelinePressureProfiler();
 
     PipelinePressureProfiler(const PipelinePressureProfiler &) =
         delete;
@@ -109,16 +109,12 @@ class PipelinePressureProfiler : public IntrLifecycleObserver
     operator=(const PipelinePressureProfiler &) = delete;
 
     /**
-     * Hook one core (call once per core, before it runs). The
-     * probe stays owned by the profiler; the profiler must outlive
-     * the core's run.
+     * A new probe for `core`, to be attached to that core only —
+     * directly (OooCore::setProbe) or through a ProbeTee — before
+     * it runs. The probe stays owned by the profiler; the profiler
+     * must outlive the core's run.
      */
-    void attachCore(OooCore &core);
-
-    /** Lifecycle stream (drives bursts and tax phases). */
-    void intrStage(IntrStage stage, std::uint64_t span_id,
-                   IntrSource source, std::uint8_t vector,
-                   Cycles cycle, unsigned core_id) override;
+    CoreProbe *makeProbe(const OooCore &core);
 
     /** Counter-track samples emitted across all cores. */
     std::uint64_t samplesEmitted() const;
@@ -147,8 +143,8 @@ class PipelinePressureProfiler : public IntrLifecycleObserver
         TaxCounts tax;
     };
 
-    /** One hooked core: sampling state + open-span table. */
-    struct CoreProbe : CycleHook
+    /** One probed core: sampling state + open-span table. */
+    struct Probe : CoreProbe
     {
         PipelinePressureProfiler *owner = nullptr;
         unsigned coreId = 0;
@@ -180,6 +176,10 @@ class PipelinePressureProfiler : public IntrLifecycleObserver
         std::string rateTrack;
         std::string memTrack;
 
+        /** Lifecycle stream (drives bursts and tax phases). */
+        void intrStage(IntrStage stage, std::uint64_t span_id,
+                       IntrSource source, std::uint8_t vector,
+                       Cycles cycle, unsigned core_id) override;
         void onCycle(const OooCore &core, bool sampled,
                      bool live) override;
     };
@@ -195,18 +195,19 @@ class PipelinePressureProfiler : public IntrLifecycleObserver
         MetricId spans;
     };
 
-    CoreProbe *probeFor(unsigned core_id);
-    bool inBurst(const CoreProbe &p, Cycles now) const;
-    void sample(CoreProbe &p, const OooCore &core);
-    void rollup(CoreProbe &p, const OpenSpan &span);
+    bool inBurst(const Probe &p, Cycles now) const;
+    void sample(Probe &p, const OooCore &core);
+    void rollup(Probe &p, const OpenSpan &span);
     TaxIds &taxIds(const std::string &stream);
 
     ProfileConfig cfg_;
     MetricsRegistry *metrics_;
     TraceJsonWriter *trace_;
-    std::vector<std::unique_ptr<CoreProbe>> probes_;
-    /** core id -> probe (ids are small and dense in practice). */
-    std::vector<CoreProbe *> byCore_;
+    /** Counter tracks need a stride and a trace sink. */
+    bool sampling_;
+    /** The tax engine needs the registry. */
+    bool tax_;
+    std::vector<std::unique_ptr<Probe>> probes_;
     std::unordered_map<std::string, TaxIds> taxIds_;
 };
 

@@ -30,11 +30,11 @@ ObsSession::kernelTrace()
     return kernelTrace_.get();
 }
 
-void
-ObsSession::attach(UarchSystem &sys)
+CoreProbe *
+ObsSession::probeFor(const OooCore &core)
 {
     if (!enabled())
-        return;
+        return nullptr;
     bool wantSampler =
         profile_.counterStride > 0 && trace_ != nullptr;
     bool wantTax = profile_.tax;
@@ -43,32 +43,28 @@ ObsSession::attach(UarchSystem &sys)
             profile_, wantTax ? metrics_.get() : nullptr,
             wantSampler ? trace_.get() : nullptr);
     }
-    if (profiler_ != nullptr) {
-        // The core carries a single observer slot: fan the
-        // lifecycle stream out to the span tracker and the
-        // profiler (once, however many systems attach).
-        if (!teeBuilt_) {
-            observerTee_.add(spans_.get());
-            observerTee_.add(profiler_.get());
-            teeBuilt_ = true;
-        }
-        sys.setIntrObserver(&observerTee_);
-        for (std::size_t i = 0; i < sys.numCores(); ++i)
-            profiler_->attachCore(sys.core(i));
-    } else {
-        sys.setIntrObserver(spans_.get());
-    }
+    auto tee = std::make_unique<ProbeTee>();
+    tee->add(spans_.get());
+    if (profiler_ != nullptr)
+        tee->add(profiler_->makeProbe(core));
     if (trace_ != nullptr) {
-        trace_->nameProcess(kTracePidUarch, "uarch");
-        for (std::size_t i = 0; i < sys.numCores(); ++i) {
-            OooCore &core = sys.core(i);
-            sinks_.push_back(std::make_unique<PipelineTraceSink>(
-                *trace_, core.id()));
-            core.setTracer(sinks_.back().get());
-            trace_->nameThread(kTracePidUarch, core.id(),
-                               "core" + std::to_string(core.id()));
-        }
+        if (tees_.empty())
+            trace_->nameProcess(kTracePidUarch, "uarch");
+        trace_->nameThread(kTracePidUarch, core.id(),
+                           "core" + std::to_string(core.id()));
+        sinks_.push_back(
+            std::make_unique<PipelineTraceSink>(*trace_, core.id()));
+        tee->add(sinks_.back().get());
     }
+    tees_.push_back(std::move(tee));
+    return tees_.back().get();
+}
+
+void
+ObsSession::attach(UarchSystem &sys)
+{
+    for (std::size_t i = 0; i < sys.numCores(); ++i)
+        sys.core(i).setProbe(probeFor(sys.core(i)));
 }
 
 void

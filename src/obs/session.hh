@@ -2,17 +2,22 @@
  * @file
  * One-stop observability session for benches and tools.
  *
- * ObsSession bundles the registry, the span tracker, and the trace
- * writer behind the two bench flags (`--metrics-json FILE`,
- * `--trace-json FILE`). When neither flag is given the session is
- * disabled: attach() calls are no-ops, every instrumented component
- * keeps its null observer/metrics pointers, and the run is bit-for-
- * bit identical to an uninstrumented one.
+ * ObsSession bundles the registry, the span tracker, the pressure
+ * profiler and the trace writer behind the bench flags
+ * (`--metrics-json FILE`, `--trace-json FILE`, `--counter-stride N`,
+ * `--tax`). On the cycle tier it builds one ProbeTee per core
+ * (uarch/probe.hh, DESIGN.md §5) holding the shared span tracker,
+ * that core's profiler probe (when profiling is configured) and that
+ * core's pipeline-trace sink (when tracing), and attaches it as the
+ * core's probe. When neither file flag is given the session is
+ * disabled: attach() calls are no-ops, every core keeps a null
+ * probe, and the run is bit-for-bit identical to an uninstrumented
+ * one.
  *
  * Typical bench wiring:
  *
  *     ObsSession obs(opt.metricsJson, opt.traceJson);
- *     obs.attach(sys);            // spans + per-core pipeline tracks
+ *     obs.attach(sys);            // one probe tee per core
  *     ... run ...
  *     obs.publishCore(sys.core(0));
  *     return obs.finish();        // writes files, reports drops
@@ -59,7 +64,6 @@ class ObsSession
      */
     MetricsRegistry *metrics() { return metrics_.get(); }
     TraceJsonWriter *trace() { return trace_.get(); }
-    IntrSpanTracker *spanTracker() { return spans_.get(); }
     PipelinePressureProfiler *profiler() { return profiler_.get(); }
 
     /**
@@ -78,9 +82,15 @@ class ObsSession
     KernelCounterTrace *kernelTrace();
 
     /**
-     * Attach the span tracker, the pressure profiler (when
-     * configured), and (when tracing) one pipeline sink per
-     * existing core. No-op when disabled.
+     * Build the probe tee for `core` (see file comment); owned by
+     * the session. For cores the session cannot attach itself, e.g.
+     * one inside a ScenarioRun. Null when disabled.
+     */
+    CoreProbe *probeFor(const OooCore &core);
+
+    /**
+     * Attach probeFor(core) to every existing core of `sys`. No-op
+     * when disabled.
      */
     void attach(UarchSystem &sys);
 
@@ -104,13 +114,12 @@ class ObsSession
     std::unique_ptr<IntrSpanTracker> spans_;
     std::unique_ptr<PipelinePressureProfiler> profiler_;
     std::unique_ptr<KernelCounterTrace> kernelTrace_;
-    IntrObserverTee observerTee_;
     ProfileConfig profile_;
+    std::vector<std::unique_ptr<ProbeTee>> tees_;
     std::vector<std::unique_ptr<PipelineTraceSink>> sinks_;
     std::vector<std::unique_ptr<DesTraceHook>> desHooks_;
     std::string metricsPath_;
     std::string tracePath_;
-    bool teeBuilt_ = false;
     bool finished_ = false;
 };
 

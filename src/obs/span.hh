@@ -2,11 +2,12 @@
  * @file
  * Interrupt-lifecycle span tracking.
  *
- * IntrSpanTracker implements IntrLifecycleObserver: it keys every
- * stage callback on the span (correlation) id assigned at raise(),
- * reassembles per-interrupt timelines, and records the per-stage
- * latency breakdown into per-source LatencyRecorders in a
- * MetricsRegistry. The four stages telescope by construction —
+ * IntrSpanTracker is a CoreProbe (uarch/probe.hh) taking only the
+ * lifecycle stream: it keys every stage callback on the span
+ * (correlation) id assigned at raise(), reassembles per-interrupt
+ * timelines, and records the per-stage latency breakdown into
+ * per-source LatencyRecorders in a MetricsRegistry. The four stages
+ * telescope by construction —
  *
  *   pend        = accept  - raise     (queued at the APIC / unit)
  *   inject_wait = inject  - accept    (waiting for the boundary /
@@ -42,7 +43,7 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "uarch/intr_observer.hh"
+#include "uarch/probe.hh"
 
 namespace xui
 {
@@ -95,8 +96,11 @@ struct IntrSpan
 /** Name of an interrupt source (stable, registry-safe). */
 const char *intrSourceName(IntrSource source);
 
-/** Reassembles spans and feeds per-source stage histograms. */
-class IntrSpanTracker : public IntrLifecycleObserver
+/**
+ * Reassembles spans and feeds per-source stage histograms. One
+ * tracker may serve several cores (spans are keyed by core id).
+ */
+class IntrSpanTracker : public CoreProbe
 {
   public:
     /**

@@ -8,8 +8,8 @@
  * https://ui.perfetto.dev load the output directly. Three adapters
  * feed it:
  *
- *  - PipelineTraceSink: a Tracer that renders one instant event per
- *    pipeline stage event on its core's track;
+ *  - PipelineTraceSink: a CoreProbe that renders one instant event
+ *    per pipeline stage event on its core's track;
  *  - DesTraceHook: attaches to an EventQueue fire hook and renders
  *    one instant event per DES event fired;
  *  - IntrSpanTracker (src/obs/span.hh) exports lifecycle stages as
@@ -29,7 +29,7 @@
 
 #include "des/event_queue.hh"
 #include "des/time.hh"
-#include "uarch/trace.hh"
+#include "uarch/probe.hh"
 
 namespace xui
 {
@@ -145,16 +145,17 @@ class TraceJsonWriter
 };
 
 /**
- * Tracer rendering pipeline events as instant trace events on one
- * core's track. Attach one sink per core (the Tracer interface does
- * not carry a core id).
+ * Probe rendering pipeline events as instant trace events on one
+ * core's track. Attach one sink per core (pipeline events do not
+ * carry a core id).
  */
-class PipelineTraceSink : public Tracer
+class PipelineTraceSink : public CoreProbe
 {
   public:
     PipelineTraceSink(TraceJsonWriter &out, unsigned tid,
                       unsigned pid = kTracePidUarch)
-        : out_(out), pid_(pid), tid_(tid)
+        : CoreProbe(/*pipeline_events=*/true), out_(out), pid_(pid),
+          tid_(tid)
     {}
 
     void event(TraceEvent ev, Cycles cycle, std::uint64_t seq,

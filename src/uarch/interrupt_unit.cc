@@ -3,16 +3,18 @@
 #include <cassert>
 #include <iterator>
 
+#include "uarch/probe.hh"
+
 namespace xui
 {
 
 std::uint64_t
 InterruptUnit::raise(IntrSource source, std::uint8_t vector,
-                     Cycles now)
+                     Cycles now, CoreProbe *probe)
 {
     RaiseOutcome outcome = RaiseOutcome::Deliver;
-    if (raiseHook_)
-        outcome = raiseHook_(source, vector);
+    if (probe != nullptr)
+        outcome = probe->onRaise(source, vector);
     if (outcome == RaiseOutcome::Drop)
         return 0;
     std::uint64_t id = nextSpanId_++;

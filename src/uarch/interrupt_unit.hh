@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "ckpt/codec.hh"
@@ -24,6 +22,8 @@
 
 namespace xui
 {
+
+class CoreProbe;
 
 /** Where an accepted user interrupt came from. */
 enum class IntrSource : std::uint8_t
@@ -68,34 +68,24 @@ enum class TrackerState : std::uint8_t
 class InterruptUnit
 {
   public:
-    /** What the raise-time fault hook decided (fault injection). */
+    /** What a probe's onRaise() decided (fault injection). */
     enum class RaiseOutcome : std::uint8_t
     {
-        Deliver,    ///< enqueue normally (the only path with no hook)
+        Deliver,    ///< enqueue normally (the only path with no probe)
         Drop,       ///< swallow: nothing is enqueued, raise returns 0
         Duplicate,  ///< enqueue twice (both share one span id)
     };
 
     /**
-     * Fault hook consulted on every raise(). Installed only by the
-     * chaos harness; the default (empty) hook costs one bool check.
-     */
-    using RaiseFaultHook =
-        std::function<RaiseOutcome(IntrSource, std::uint8_t)>;
-
-    void setRaiseFaultHook(RaiseFaultHook hook)
-    {
-        raiseHook_ = std::move(hook);
-    }
-
-    /**
      * Raise (post) an interrupt toward this core.
-     * @return the span (correlation) id assigned to it, or 0 when a
-     *         fault hook dropped the raise (callers must not observe
+     * @param probe the owning core's probe (may be null); its
+     *        onRaise() decides the outcome
+     * @return the span (correlation) id assigned to it, or 0 when
+     *         the probe dropped the raise (callers must not observe
      *         or count a span-0 raise).
      */
     std::uint64_t raise(IntrSource source, std::uint8_t vector,
-                        Cycles now);
+                        Cycles now, CoreProbe *probe = nullptr);
 
     /** True when an interrupt could be accepted this cycle. */
     bool canAccept() const;
@@ -208,11 +198,7 @@ class InterruptUnit
     /** uiret committed: delivery is complete. */
     void onHandlerReturn();
 
-    /**
-     * Checkpoint everything except the raise fault hook, which is
-     * harness-owned and reattached after load by whoever installed
-     * it (chaos cells re-install their own).
-     */
+    /** Checkpoint the unit (it holds no harness attachments). */
     void saveState(ckpt::Writer &w) const
     {
         auto putIntr = [&w](const PendingIntr &p) {
@@ -285,7 +271,6 @@ class InterruptUnit
     TrackerState state_ = TrackerState::Idle;
     bool uif_ = true;
     std::uint64_t nextSpanId_ = 1;
-    RaiseFaultHook raiseHook_;
     /** Per-vector delivery priority (0 = best-effort default). */
     std::uint8_t prio_[256] = {};
     bool prioEnabled_ = false;

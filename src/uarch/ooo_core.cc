@@ -45,20 +45,23 @@ OooCore::receiveIpi(std::uint8_t vector, Cycles when)
 }
 
 void
+OooCore::raiseIntr(IntrSource source, std::uint8_t vector)
+{
+    std::uint64_t span = intr_.raise(source, vector, cycle_, probe_);
+    if (span != 0) {
+        observe(IntrStage::Raise, span, source, vector);
+        ++stats_.interruptsRaised;
+    }
+}
+
+void
 OooCore::deviceInterrupt(std::uint8_t vector)
 {
     ForwardOutcome outcome = forwarding_.onInterrupt(vector);
     switch (outcome) {
-      case ForwardOutcome::FastPath: {
-        std::uint64_t span =
-            intr_.raise(IntrSource::Forwarded, vector, cycle_);
-        if (span != 0) {
-            observe(IntrStage::Raise, span, IntrSource::Forwarded,
-                    vector);
-            ++stats_.interruptsRaised;
-        }
+      case ForwardOutcome::FastPath:
+        raiseIntr(IntrSource::Forwarded, vector);
         break;
-      }
       case ForwardOutcome::SlowPath:
         dupid_.post(vector);
         ++stats_.slowPathForwards;
@@ -154,17 +157,10 @@ OooCore::tick()
     while (!ipiInbox_.empty() && ipiInbox_.front().when <= cycle_) {
         IpiArrival a = ipiInbox_.front();
         ipiInbox_.pop_front();
-        if (a.vector == uinv_) {
-            std::uint64_t span =
-                intr_.raise(IntrSource::UserIpi, a.vector, cycle_);
-            if (span != 0) {
-                observe(IntrStage::Raise, span, IntrSource::UserIpi,
-                        a.vector);
-                ++stats_.interruptsRaised;
-            }
-        } else {
+        if (a.vector == uinv_)
+            raiseIntr(IntrSource::UserIpi, a.vector);
+        else
             deviceInterrupt(a.vector);
-        }
     }
 
     // KB timer expiry (one pending firing at a time, like an IRR
@@ -175,15 +171,8 @@ OooCore::tick()
             intr_.current().source == IntrSource::KbTimer)
             already = true;
         kbTimer_.acknowledge();
-        if (!already) {
-            std::uint64_t span = intr_.raise(
-                IntrSource::KbTimer, kbTimer_.vector(), cycle_);
-            if (span != 0) {
-                observe(IntrStage::Raise, span, IntrSource::KbTimer,
-                        kbTimer_.vector());
-                ++stats_.interruptsRaised;
-            }
-        }
+        if (!already)
+            raiseIntr(IntrSource::KbTimer, kbTimer_.vector());
     }
 
     commitStage();
@@ -194,15 +183,15 @@ OooCore::tick()
     fetchStage();
 
     // End-of-tick observation: every lifecycle callback of this
-    // cycle has already fired, so a hook sees a consistent
+    // cycle has already fired, so the probe sees a consistent
     // (cycle, open-span, occupancy) snapshot. Read-only by
     // contract; the fast path is two integer compares against
-    // owner-maintained absolute marks (no per-tick mutation).
-    if (cycleHook_ != nullptr) {
-        bool live = cycleHook_->liveSpans != 0;
-        bool sampled = cycle_ >= cycleHook_->nextSampleAt;
+    // probe-maintained absolute marks (no per-tick mutation).
+    if (probe_ != nullptr) {
+        bool live = probe_->liveSpans != 0;
+        bool sampled = cycle_ >= probe_->nextSampleAt;
         if (live || sampled)
-            cycleHook_->onCycle(*this, sampled, live);
+            probe_->onCycle(*this, sampled, live);
     }
 
     if (params_.fastForward)
@@ -305,8 +294,7 @@ OooCore::maybeEnterFastForward()
     }
     // The profiler's burst window pins detail: sampled-detail runs
     // keep full fidelity wherever the sampler is bursting.
-    if (cycleHook_ != nullptr &&
-        cycleHook_->wantDetailUntil > cycle_) {
+    if (probe_ != nullptr && probe_->wantDetailUntil > cycle_) {
         ffDrainPending_ = false;
         return;
     }
@@ -325,10 +313,10 @@ OooCore::maybeEnterFastForward()
     if (rob_.empty() && fetchBuffer_.empty() &&
         ucodeQueue_.empty() && !awaitRedirect_ &&
         frontendStallUntil_ <= cycle_) {
-        if (ffTransitionHook_) {
-            Cycles pin = ffTransitionHook_(true, cycle_);
+        if (probe_ != nullptr) {
+            Cycles pin = probe_->onFfTransition(true, cycle_);
             if (pin > 0) {
-                // The fault fabric pinned detail at the boundary:
+                // The probe pinned detail at the boundary:
                 // abort this entry and stay detailed.
                 ffDetailUntil_ =
                     std::max(ffDetailUntil_, cycle_ + pin);
@@ -373,8 +361,8 @@ OooCore::exitFastForward()
     // The detailed phase starting now is the next IPC sample.
     ffCalibStartCycle_ = cycle_;
     ffCalibStartInsts_ = stats_.committedInsts;
-    if (ffTransitionHook_) {
-        Cycles pin = ffTransitionHook_(false, cycle_);
+    if (probe_ != nullptr) {
+        Cycles pin = probe_->onFfTransition(false, cycle_);
         if (pin > 0)
             ffDetailUntil_ = std::max(ffDetailUntil_, cycle_ + pin);
     }

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "ckpt/codec.hh"
@@ -36,12 +35,10 @@
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
 #include "uarch/core_params.hh"
-#include "uarch/cycle_hook.hh"
 #include "uarch/interrupt_unit.hh"
-#include "uarch/intr_observer.hh"
 #include "uarch/mcrom.hh"
+#include "uarch/probe.hh"
 #include "uarch/program.hh"
-#include "uarch/trace.hh"
 
 namespace xui
 {
@@ -140,21 +137,11 @@ class OooCore
     /** Attach the multi-core fabric (needed only for senduipi). */
     void setSystem(UarchSystem *system) { system_ = system; }
 
-    /** Attach a pipeline tracer (nullptr disables tracing). */
-    void setTracer(Tracer *tracer) { tracer_ = tracer; }
-
-    /** Attach a lifecycle observer (nullptr disables observation). */
-    void setIntrObserver(IntrLifecycleObserver *obs)
-    {
-        intrObs_ = obs;
-    }
-
     /**
-     * Attach an end-of-tick observation hook (nullptr detaches).
-     * The hook is read-only by contract: attaching one never
-     * changes simulated behavior (digest-guarded).
+     * Attach the core's probe (uarch/probe.hh; nullptr detaches).
+     * Not owned. Fan several probes in through a ProbeTee.
      */
-    void setCycleHook(CycleHook *hook) { cycleHook_ = hook; }
+    void setProbe(CoreProbe *probe) { probe_ = probe; }
 
     /** Advance one cycle. */
     void tick();
@@ -204,24 +191,6 @@ class OooCore
     /** The detail window is open through this cycle (diagnostic;
      *  meaningful only with params().fastForward). */
     Cycles detailUntil() const { return ffDetailUntil_; }
-
-    /**
-     * Fault hook consulted at every fast-forward mode transition:
-     * once when the core is about to enter the functional loop
-     * (`entering` true, pipeline already drained) and once right
-     * after it returns to detail (`entering` false). Returning a
-     * nonzero cycle count pins full detail for that many cycles
-     * from `now` — an entry consult that pins detail aborts the
-     * entry. Installed only by the chaos harness; unset it costs
-     * one bool check per transition.
-     */
-    using FfTransitionHook = std::function<Cycles(bool entering,
-                                                  Cycles now)>;
-
-    void setFfTransitionHook(FfTransitionHook hook)
-    {
-        ffTransitionHook_ = std::move(hook);
-    }
 
     /** Interrupt plumbing. */
     InterruptUnit &intrUnit() { return intr_; }
@@ -275,8 +244,8 @@ class OooCore
      * core_ckpt.cc). Capture happens at an inter-tick boundary; the
      * payload covers every run-to-run-visible member — pipeline
      * structures, interrupt plumbing, caches, predictor, RNG, stats
-     * — except harness attachments (tracer/observer/hooks/system),
-     * which the restoring harness re-wires itself.
+     * — except harness attachments (probe, system), which the
+     * restoring harness re-wires itself.
      */
     void saveState(ckpt::Writer &w) const;
 
@@ -402,16 +371,19 @@ class OooCore
      *  arrival. */
     void ffAdvance(Cycles end);
 
-    /** Emit a trace event when a tracer is attached. */
+    /** Emit a pipeline event when the probe takes them. */
     void
     trace(TraceEvent ev, std::uint64_t seq = 0,
           std::uint32_t pc = kUcodePc, OpClass cls = OpClass::Nop)
     {
-        if (tracer_)
-            tracer_->event(ev, cycle_, seq, pc, cls);
+        if (probe_ != nullptr && probe_->takesPipelineEvents())
+            probe_->event(ev, cycle_, seq, pc, cls);
     }
 
-    /** Emit a lifecycle stage when an observer is attached. */
+    /** Raise toward the unit, observing and counting the span. */
+    void raiseIntr(IntrSource source, std::uint8_t vector);
+
+    /** Emit a lifecycle stage when a probe is attached. */
     void
     observe(IntrStage stage, std::uint64_t span_id,
             IntrSource source, std::uint8_t vector)
@@ -424,9 +396,9 @@ class OooCore
             ffDetailUntil_ = cycle_ + params_.detailWindow;
             ffDrainPending_ = false;
         }
-        if (intrObs_)
-            intrObs_->intrStage(stage, span_id, source, vector,
-                                cycle_, id_);
+        if (probe_ != nullptr)
+            probe_->intrStage(stage, span_id, source, vector, cycle_,
+                              id_);
     }
 
     unsigned id_;
@@ -434,9 +406,7 @@ class OooCore
     const Program *program_;
     Rng rng_;
     UarchSystem *system_ = nullptr;
-    Tracer *tracer_ = nullptr;
-    IntrLifecycleObserver *intrObs_ = nullptr;
-    CycleHook *cycleHook_ = nullptr;
+    CoreProbe *probe_ = nullptr;
 
     /**
      * Microcode routine tables; const so a core shared read-only
@@ -557,8 +527,6 @@ class OooCore
     bool ffDrainPending_ = false;
     /** Detail window open through this cycle. */
     Cycles ffDetailUntil_ = 0;
-    /** Chaos-harness fault hook at mode transitions (usually unset). */
-    FfTransitionHook ffTransitionHook_;
     /** Committed instructions per cycle, Q16 fixed point,
      *  recalibrated from each detailed phase at fast-forward
      *  entry. */

@@ -3,34 +3,6 @@
 namespace xui
 {
 
-const char *
-traceEventName(TraceEvent ev)
-{
-    switch (ev) {
-      case TraceEvent::Fetch:
-        return "fetch";
-      case TraceEvent::Dispatch:
-        return "dispatch";
-      case TraceEvent::Issue:
-        return "issue";
-      case TraceEvent::Complete:
-        return "complete";
-      case TraceEvent::Commit:
-        return "commit";
-      case TraceEvent::Squash:
-        return "squash";
-      case TraceEvent::IntrAccept:
-        return "intr-accept";
-      case TraceEvent::IntrInject:
-        return "intr-inject";
-      case TraceEvent::IntrDeliver:
-        return "intr-deliver";
-      case TraceEvent::IntrReturn:
-        return "intr-return";
-    }
-    return "?";
-}
-
 namespace
 {
 
@@ -80,21 +52,6 @@ StreamTracer::event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
         os_ << ' ' << opClassName(cls);
     }
     os_ << '\n';
-}
-
-void
-TeeTracer::attach(Tracer *sink)
-{
-    if (sink != nullptr)
-        sinks_.push_back(sink);
-}
-
-void
-TeeTracer::event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
-                 std::uint32_t pc, OpClass cls)
-{
-    for (Tracer *sink : sinks_)
-        sink->event(ev, cycle, seq, pc, cls);
 }
 
 } // namespace xui

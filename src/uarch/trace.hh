@@ -1,12 +1,9 @@
 /**
  * @file
- * Pipeline tracing for the cycle-level core — the equivalent of
- * gem5's Exec/O3 debug traces. A Tracer attached to an OooCore
- * receives one event per micro-op per stage plus interrupt-unit
- * transitions; StreamTracer renders them as text for debugging, and
- * tests use recording tracers to assert stage ordering.
- *
- * Tracing is off (null pointer, zero cost) unless attached.
+ * Text rendering of a core's pipeline events — the equivalent of
+ * gem5's Exec/O3 debug traces. StreamTracer is a CoreProbe
+ * (uarch/probe.hh) that takes pipeline events and writes one line
+ * per event; attach it like any other probe.
  */
 
 #ifndef XUI_UARCH_TRACE_HH
@@ -14,87 +11,25 @@
 
 #include <cstdint>
 #include <ostream>
-#include <vector>
 
-#include "des/time.hh"
-#include "uarch/op_types.hh"
+#include "uarch/probe.hh"
 
 namespace xui
 {
 
-/** Pipeline stage / event kind for trace records. */
-enum class TraceEvent : std::uint8_t
-{
-    Fetch,
-    Dispatch,
-    Issue,
-    Complete,
-    Commit,
-    Squash,
-    IntrAccept,
-    IntrInject,
-    IntrDeliver,
-    IntrReturn,
-};
-
-/** Number of TraceEvent enumerators (for tables indexed by event). */
-constexpr unsigned kNumTraceEvents =
-    static_cast<unsigned>(TraceEvent::IntrReturn) + 1;
-
-/** Name of a trace event (stable strings for output/tests). */
-const char *traceEventName(TraceEvent ev);
-
-/** Receives pipeline events from an OooCore. */
-class Tracer
+/** Text probe: one line per pipeline event. */
+class StreamTracer : public CoreProbe
 {
   public:
-    virtual ~Tracer() = default;
-
-    /**
-     * One event.
-     * @param ev what happened
-     * @param cycle when
-     * @param seq dynamic micro-op sequence number (0 for
-     *        interrupt-unit events)
-     * @param pc macro PC (0xffffffff for injected microcode)
-     * @param cls micro-op class (Nop for interrupt-unit events)
-     */
-    virtual void event(TraceEvent ev, Cycles cycle,
-                       std::uint64_t seq, std::uint32_t pc,
-                       OpClass cls) = 0;
-};
-
-/** Text tracer: one line per event, gem5-exec-trace flavoured. */
-class StreamTracer : public Tracer
-{
-  public:
-    explicit StreamTracer(std::ostream &os) : os_(os) {}
+    explicit StreamTracer(std::ostream &os)
+        : CoreProbe(/*pipeline_events=*/true), os_(os)
+    {}
 
     void event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
                std::uint32_t pc, OpClass cls) override;
 
   private:
     std::ostream &os_;
-};
-
-/**
- * Fan-out tracer: forwards every event to each attached sink in
- * attachment order. Lets a core feed a digest, a recorder, and a
- * text log simultaneously (the verify subsystem does exactly that).
- */
-class TeeTracer : public Tracer
-{
-  public:
-    /** Attach a sink; nullptr is ignored. Not owned. */
-    void attach(Tracer *sink);
-
-    std::size_t numSinks() const { return sinks_.size(); }
-
-    void event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
-               std::uint32_t pc, OpClass cls) override;
-
-  private:
-    std::vector<Tracer *> sinks_;
 };
 
 } // namespace xui

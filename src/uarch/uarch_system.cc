@@ -17,26 +17,17 @@ UarchSystem::addCore(const CoreParams &params, const Program *program)
         static_cast<unsigned>(cores_.size()), params, program,
         master_.split());
     core->setSystem(this);
-    core->setTracer(tracer_);
-    core->setIntrObserver(intrObs_);
+    core->setProbe(probe_);
     cores_.push_back(std::move(core));
     return *cores_.back();
 }
 
 void
-UarchSystem::setTracer(Tracer *tracer)
+UarchSystem::setProbe(CoreProbe *probe)
 {
-    tracer_ = tracer;
+    probe_ = probe;
     for (auto &core : cores_)
-        core->setTracer(tracer);
-}
-
-void
-UarchSystem::setIntrObserver(IntrLifecycleObserver *obs)
-{
-    intrObs_ = obs;
-    for (auto &core : cores_)
-        core->setIntrObserver(obs);
+        core->setProbe(probe);
 }
 
 int

@@ -32,17 +32,13 @@ class UarchSystem
     OooCore &addCore(const CoreParams &params, const Program *program);
 
     /**
-     * Attach one tracer to every core, present and future (nullptr
-     * detaches). Multi-core traces interleave per tick in core-id
-     * order, so a system-wide event stream is still deterministic.
+     * Attach one probe to every core, present and future (nullptr
+     * detaches). Multi-core event streams interleave per tick in
+     * core-id order, so a system-wide stream is still deterministic.
+     * A probe whose gate fields track one core (uarch/probe.hh) must
+     * be attached per core instead (OooCore::setProbe).
      */
-    void setTracer(Tracer *tracer);
-
-    /**
-     * Attach one interrupt-lifecycle observer to every core, present
-     * and future (nullptr detaches).
-     */
-    void setIntrObserver(IntrLifecycleObserver *obs);
+    void setProbe(CoreProbe *probe);
 
     OooCore &core(std::size_t i) { return *cores_[i]; }
     std::size_t numCores() const { return cores_.size(); }
@@ -79,8 +75,7 @@ class UarchSystem
   private:
     Rng master_;
     Uitt uitt_;
-    Tracer *tracer_ = nullptr;
-    IntrLifecycleObserver *intrObs_ = nullptr;
+    CoreProbe *probe_ = nullptr;
     std::vector<std::unique_ptr<OooCore>> cores_;
     /** run() scan rotation: index of the core last seen active, so
      *  the all-quiesced test fails fast while it stays busy. */

@@ -23,15 +23,17 @@
 
 #include "ckpt/codec.hh"
 #include "stats/digest.hh"
-#include "uarch/trace.hh"
+#include "uarch/probe.hh"
 
 namespace xui
 {
 
-/** Digesting trace sink (attach via OooCore/UarchSystem setTracer). */
-class DigestTracer : public Tracer
+/** Digesting probe (attach via OooCore/UarchSystem setProbe). */
+class DigestTracer : public CoreProbe
 {
   public:
+    DigestTracer() : CoreProbe(/*pipeline_events=*/true) {}
+
     void event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
                std::uint32_t pc, OpClass cls) override;
 

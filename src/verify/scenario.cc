@@ -3,180 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "intr/kb_timer.hh"
-#include "uarch/uarch_system.hh"
-#include "verify/digest_tracer.hh"
-
 namespace xui
 {
-
-namespace
-{
-
-void
-checkInterruptFacts(const CoreStats &s, ScenarioResult &out)
-{
-    if (s.interruptsRaised < s.interruptsDelivered) {
-        std::ostringstream os;
-        os << "duplicated deliveries: raised "
-           << s.interruptsRaised << " < delivered "
-           << s.interruptsDelivered;
-        out.violations.push_back(os.str());
-    }
-    if (s.interruptsRaised - s.interruptsDelivered > 1) {
-        std::ostringstream os;
-        os << "lost interrupts: raised " << s.interruptsRaised
-           << ", delivered " << s.interruptsDelivered
-           << " (more than one in flight)";
-        out.violations.push_back(os.str());
-    }
-    // A record is closed at uiret commit, so a run that ends while
-    // the final handler is still in flight legitimately has one
-    // open (unpushed) record. Priority preemption nests handlers,
-    // so each preemption allows one more open record at the end.
-    if (s.intrRecords.size() > s.interruptsDelivered ||
-        s.intrRecords.size() + 1 + s.preemptions <
-            s.interruptsDelivered) {
-        std::ostringstream os;
-        os << "record count " << s.intrRecords.size()
-           << " inconsistent with delivered "
-           << s.interruptsDelivered;
-        out.violations.push_back(os.str());
-    }
-    Cycles prev_uiret = 0;
-    for (std::size_t i = 0; i < s.intrRecords.size(); ++i) {
-        const IntrRecord &r = s.intrRecords[i];
-        // Nested (preempting) deliveries interleave with the
-        // records around them: a preempting record closes before
-        // the handler it interrupted, so the cross-record ordering
-        // check only applies between non-preempting neighbors.
-        bool cross_ordered = r.injectedAt >= prev_uiret;
-        if (r.preempting || s.preemptions > 0)
-            cross_ordered = true;
-        const bool mono = r.acceptedAt >= r.raisedAt &&
-            r.injectedAt >= r.acceptedAt &&
-            r.deliveryCommitAt >= r.firstUopCommitAt &&
-            r.uiretCommitAt > r.deliveryCommitAt &&
-            cross_ordered;
-        if (!mono) {
-            std::ostringstream os;
-            os << "record " << i
-               << " timeline not monotonic (raised " << r.raisedAt
-               << ", accepted " << r.acceptedAt << ", injected "
-               << r.injectedAt << ", deliveryCommit "
-               << r.deliveryCommitAt << ", uiret "
-               << r.uiretCommitAt << ", prev uiret " << prev_uiret
-               << ")";
-            out.violations.push_back(os.str());
-        }
-        prev_uiret = r.uiretCommitAt;
-    }
-}
-
-} // namespace
-
-ScenarioResult
-extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
-                      const OooCore &core, const DigestTracer &digest,
-                      const std::vector<std::uint32_t> &commitPcs)
-{
-    ScenarioResult out;
-    const CoreStats &s = core.stats();
-    out.fullDigest = digest.fullDigest();
-    out.archDigest = digest.archDigest();
-    out.eventCount = digest.eventCount();
-    out.committedInsts = s.committedInsts;
-    out.committedUops = s.committedUops;
-    out.fetchedUops = s.fetchedUops;
-    out.squashedUops = s.squashedUops;
-    out.raised = s.interruptsRaised;
-    out.delivered = s.interruptsDelivered;
-    out.reinjections = s.reinjections;
-    out.cycles = core.now();
-    out.intrRecords = s.intrRecords;
-    out.ffEntries = s.ffEntries;
-    out.ffExits = s.ffExits;
-    out.ffInsts = s.ffInsts;
-    out.ffCycles = s.ffCycles;
-
-    const std::uint32_t handler_entry = prog.handlerEntry();
-    out.mainPcs.reserve(commitPcs.size());
-    for (std::uint32_t pc : commitPcs) {
-        if (pc < handler_entry)
-            out.mainPcs.push_back(pc);
-        else
-            ++out.handlerCommits;
-    }
-
-    double exec_sum = 0.0, commit_sum = 0.0;
-    for (const IntrRecord &r : s.intrRecords) {
-        exec_sum +=
-            static_cast<double>(r.deliveryExecAt - r.raisedAt);
-        commit_sum +=
-            static_cast<double>(r.deliveryCommitAt - r.raisedAt);
-    }
-    if (!s.intrRecords.empty()) {
-        double n = static_cast<double>(s.intrRecords.size());
-        out.meanHandlerStartLatency = exec_sum / n;
-        out.meanDeliveryCommitLatency = commit_sum / n;
-    }
-
-    if (s.committedInsts < cfg.targetInsts)
-        out.violations.push_back("pipeline wedged: committed fewer "
-                                 "instructions than targeted");
-    if (s.committedUops > s.fetchedUops)
-        out.violations.push_back(
-            "conservation violated: committed > fetched uops");
-    checkInterruptFacts(s, out);
-    return out;
-}
-
-ScenarioResult
-runScenario(const ScenarioConfig &cfg, TraceLog *capture,
-            Tracer *extraTracer, IntrLifecycleObserver *observer,
-            const std::function<void(UarchSystem &)> &preRun)
-{
-    Program prog = makeFuzzProgram(cfg.programSeed, cfg.program);
-
-    CoreParams params;
-    params.strategy = cfg.strategy;
-    params.safepointMode = cfg.safepointMode;
-    params.tickSkip = cfg.tickSkip;
-    params.fastForward = cfg.fastForward;
-    params.detailWindow = cfg.detailWindow;
-    params.ffWarmup = cfg.ffWarmup;
-
-    UarchSystem sys(cfg.systemSeed);
-
-    DigestTracer digest;
-    std::vector<std::uint32_t> commitPcs;
-    digest.collectCommitPcs(&commitPcs);
-
-    TeeTracer tee;
-    tee.attach(&digest);
-    TraceLog unused;
-    LogTracer logger(capture != nullptr ? *capture : unused);
-    if (capture != nullptr) {
-        capture->clear();
-        tee.attach(&logger);
-    }
-    tee.attach(extraTracer);
-    sys.setTracer(&tee);
-    sys.setIntrObserver(observer);
-
-    OooCore &core = sys.addCore(params, &prog);
-    core.kbTimer().configure(true, 0x21);
-    core.kbTimer().setTimer(0, cfg.timerPeriod,
-                            KbTimerMode::Periodic);
-
-    if (preRun)
-        preRun(sys);
-
-    core.runUntilCommitted(cfg.targetInsts, cfg.maxCycles);
-    core.runCycles(cfg.extraCycles);
-
-    return extractScenarioResult(cfg, prog, core, digest, commitPcs);
-}
 
 DeterminismReport
 checkDeterminism(const ScenarioConfig &cfg)

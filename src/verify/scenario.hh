@@ -15,21 +15,16 @@
 #define XUI_VERIFY_SCENARIO_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "des/time.hh"
 #include "uarch/core_params.hh"
-#include "uarch/intr_observer.hh"
 #include "uarch/ooo_core.hh"
 #include "verify/fuzz.hh"
-#include "verify/trace_log.hh"
 
 namespace xui
 {
-
-class UarchSystem;
 
 /** One verification workload, fully reproducible from this struct. */
 struct ScenarioConfig
@@ -119,36 +114,15 @@ struct ScenarioResult
     bool ok() const { return violations.empty(); }
 };
 
-class DigestTracer;
-
 /**
- * Build a ScenarioResult from a finished run's instrumentation —
- * the digest tracer, the collected commit-PC stream, and the core's
- * stats. Shared by runScenario() and the resumable ScenarioRun
- * (scenario_run.hh) so both produce identical results for identical
- * runs.
+ * Run one scenario to completion: a ScenarioRun (scenario_run.hh)
+ * built from `cfg`, with `probe` (when non-null) attached beside the
+ * digest — e.g. a LogTracer to record the run or a ReplayTracer to
+ * compare it against a recording. Callers that need the core before
+ * the run starts construct ScenarioRun directly.
  */
-ScenarioResult
-extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
-                      const OooCore &core, const DigestTracer &digest,
-                      const std::vector<std::uint32_t> &commitPcs);
-
-/**
- * Run one scenario.
- * @param capture when non-null, also records the full binary trace.
- * @param extraTracer when non-null, an additional tee'd trace sink.
- * @param observer when non-null, receives interrupt-lifecycle
- *        stage callbacks (src/obs span tracking).
- * @param preRun when non-empty, called after the core is built but
- *        before the run starts — the hook for attaching extra
- *        instrumentation (e.g. the pipeline-pressure profiler) so
- *        digest-neutrality can be pinned over the golden corpus.
- */
-ScenarioResult
-runScenario(const ScenarioConfig &cfg, TraceLog *capture = nullptr,
-            Tracer *extraTracer = nullptr,
-            IntrLifecycleObserver *observer = nullptr,
-            const std::function<void(UarchSystem &)> &preRun = {});
+ScenarioResult runScenario(const ScenarioConfig &cfg,
+                           CoreProbe *probe = nullptr);
 
 /** Report from a double-run determinism check. */
 struct DeterminismReport

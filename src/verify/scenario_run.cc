@@ -9,15 +9,76 @@
 namespace xui
 {
 
-ScenarioRun::ScenarioRun(const ScenarioConfig &cfg,
-                         IntrLifecycleObserver *observer)
+namespace
+{
+
+void
+checkInterruptFacts(const CoreStats &s, ScenarioResult &out)
+{
+    if (s.interruptsRaised < s.interruptsDelivered) {
+        std::ostringstream os;
+        os << "duplicated deliveries: raised "
+           << s.interruptsRaised << " < delivered "
+           << s.interruptsDelivered;
+        out.violations.push_back(os.str());
+    }
+    if (s.interruptsRaised - s.interruptsDelivered > 1) {
+        std::ostringstream os;
+        os << "lost interrupts: raised " << s.interruptsRaised
+           << ", delivered " << s.interruptsDelivered
+           << " (more than one in flight)";
+        out.violations.push_back(os.str());
+    }
+    // A record is closed at uiret commit, so a run that ends while
+    // the final handler is still in flight legitimately has one
+    // open (unpushed) record. Priority preemption nests handlers,
+    // so each preemption allows one more open record at the end.
+    if (s.intrRecords.size() > s.interruptsDelivered ||
+        s.intrRecords.size() + 1 + s.preemptions <
+            s.interruptsDelivered) {
+        std::ostringstream os;
+        os << "record count " << s.intrRecords.size()
+           << " inconsistent with delivered "
+           << s.interruptsDelivered;
+        out.violations.push_back(os.str());
+    }
+    Cycles prev_uiret = 0;
+    for (std::size_t i = 0; i < s.intrRecords.size(); ++i) {
+        const IntrRecord &r = s.intrRecords[i];
+        // Nested (preempting) deliveries interleave with the
+        // records around them: a preempting record closes before
+        // the handler it interrupted, so the cross-record ordering
+        // check only applies between non-preempting neighbors.
+        bool cross_ordered = r.injectedAt >= prev_uiret;
+        if (r.preempting || s.preemptions > 0)
+            cross_ordered = true;
+        const bool mono = r.acceptedAt >= r.raisedAt &&
+            r.injectedAt >= r.acceptedAt &&
+            r.deliveryCommitAt >= r.firstUopCommitAt &&
+            r.uiretCommitAt > r.deliveryCommitAt &&
+            cross_ordered;
+        if (!mono) {
+            std::ostringstream os;
+            os << "record " << i
+               << " timeline not monotonic (raised " << r.raisedAt
+               << ", accepted " << r.acceptedAt << ", injected "
+               << r.injectedAt << ", deliveryCommit "
+               << r.deliveryCommitAt << ", uiret "
+               << r.uiretCommitAt << ", prev uiret " << prev_uiret
+               << ")";
+            out.violations.push_back(os.str());
+        }
+        prev_uiret = r.uiretCommitAt;
+    }
+}
+
+} // namespace
+
+ScenarioRun::ScenarioRun(const ScenarioConfig &cfg)
     : cfg_(cfg),
       prog_(makeFuzzProgram(cfg.programSeed, cfg.program)),
       sys_(cfg.systemSeed)
 {
-    // Construction mirrors runScenario() exactly — same attach
-    // order, same timer programming — so an unchunked ScenarioRun
-    // is bit-identical to the monolithic runner.
     CoreParams params;
     params.strategy = cfg.strategy;
     params.safepointMode = cfg.safepointMode;
@@ -27,11 +88,10 @@ ScenarioRun::ScenarioRun(const ScenarioConfig &cfg,
     params.ffWarmup = cfg.ffWarmup;
 
     digest_.collectCommitPcs(&commitPcs_);
-    tee_.attach(&digest_);
-    sys_.setTracer(&tee_);
-    sys_.setIntrObserver(observer);
+    tee_.add(&digest_);
 
     core_ = &sys_.addCore(params, &prog_);
+    core_->setProbe(&tee_);
     core_->kbTimer().configure(true, 0x21);
     core_->kbTimer().setTimer(0, cfg.timerPeriod,
                               KbTimerMode::Periodic);
@@ -122,8 +182,64 @@ ScenarioRun::loadState(ckpt::Reader &r)
 ScenarioResult
 ScenarioRun::finish() const
 {
-    return extractScenarioResult(cfg_, prog_, *core_, digest_,
-                                 commitPcs_);
+    ScenarioResult out;
+    const CoreStats &s = core_->stats();
+    out.fullDigest = digest_.fullDigest();
+    out.archDigest = digest_.archDigest();
+    out.eventCount = digest_.eventCount();
+    out.committedInsts = s.committedInsts;
+    out.committedUops = s.committedUops;
+    out.fetchedUops = s.fetchedUops;
+    out.squashedUops = s.squashedUops;
+    out.raised = s.interruptsRaised;
+    out.delivered = s.interruptsDelivered;
+    out.reinjections = s.reinjections;
+    out.cycles = core_->now();
+    out.intrRecords = s.intrRecords;
+    out.ffEntries = s.ffEntries;
+    out.ffExits = s.ffExits;
+    out.ffInsts = s.ffInsts;
+    out.ffCycles = s.ffCycles;
+
+    const std::uint32_t handler_entry = prog_.handlerEntry();
+    out.mainPcs.reserve(commitPcs_.size());
+    for (std::uint32_t pc : commitPcs_) {
+        if (pc < handler_entry)
+            out.mainPcs.push_back(pc);
+        else
+            ++out.handlerCommits;
+    }
+
+    double exec_sum = 0.0, commit_sum = 0.0;
+    for (const IntrRecord &r : s.intrRecords) {
+        exec_sum +=
+            static_cast<double>(r.deliveryExecAt - r.raisedAt);
+        commit_sum +=
+            static_cast<double>(r.deliveryCommitAt - r.raisedAt);
+    }
+    if (!s.intrRecords.empty()) {
+        double n = static_cast<double>(s.intrRecords.size());
+        out.meanHandlerStartLatency = exec_sum / n;
+        out.meanDeliveryCommitLatency = commit_sum / n;
+    }
+
+    if (s.committedInsts < cfg_.targetInsts)
+        out.violations.push_back("pipeline wedged: committed fewer "
+                                 "instructions than targeted");
+    if (s.committedUops > s.fetchedUops)
+        out.violations.push_back(
+            "conservation violated: committed > fetched uops");
+    checkInterruptFacts(s, out);
+    return out;
+}
+
+ScenarioResult
+runScenario(const ScenarioConfig &cfg, CoreProbe *probe)
+{
+    ScenarioRun run(cfg);
+    run.addProbe(probe);
+    run.runToEnd();
+    return run.finish();
 }
 
 RoundTripReport

@@ -1,10 +1,11 @@
 /**
  * @file
- * Resumable scenario execution for checkpoint/restore verification.
+ * The one scenario runner. runScenario() (scenario.hh) is a
+ * ScenarioRun run to the end in one go.
  *
- * ScenarioRun is runScenario() (scenario.hh) split into hold-able
- * pieces: construct, advance in bounded chunks, checkpoint between
- * chunks, and extract the identical ScenarioResult at the end. The
+ * ScenarioRun splits a scenario into hold-able pieces: construct,
+ * attach extra probes, advance in bounded chunks, checkpoint between
+ * chunks, and extract the ScenarioResult at the end. The
  * load-bearing property is *chunk-invariance*: the core's run loops
  * are memoryless per tick (runUntilCommitted takes an absolute
  * commit target and a remaining budget; runCycles an absolute end),
@@ -39,8 +40,18 @@ namespace xui
 class ScenarioRun
 {
   public:
-    explicit ScenarioRun(const ScenarioConfig &cfg,
-                         IntrLifecycleObserver *observer = nullptr);
+    explicit ScenarioRun(const ScenarioConfig &cfg);
+
+    /** The core holds the address of the member probe tee. */
+    ScenarioRun(const ScenarioRun &) = delete;
+    ScenarioRun &operator=(const ScenarioRun &) = delete;
+
+    /**
+     * Attach a probe beside the digest (nullptr is ignored; not
+     * owned). Call before the run starts; probes are harness
+     * attachments, not checkpoint state.
+     */
+    void addProbe(CoreProbe *probe) { tee_.add(probe); }
 
     /**
      * Advance up to `chunkCycles` simulated cycles.
@@ -70,10 +81,7 @@ class ScenarioRun
      */
     bool loadState(ckpt::Reader &r);
 
-    /**
-     * Extract the ScenarioResult — identical to what runScenario()
-     * returns for the same config. Call once, after done().
-     */
+    /** Extract the ScenarioResult. Call once, after done(). */
     ScenarioResult finish() const;
 
   private:
@@ -82,7 +90,7 @@ class ScenarioRun
     UarchSystem sys_;
     DigestTracer digest_;
     std::vector<std::uint32_t> commitPcs_;
-    TeeTracer tee_;
+    ProbeTee tee_;
     OooCore *core_;
 
     /** 0 = run-to-commit-target, 1 = extra cycles, 2 = finished. */

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "uarch/trace.hh"
+#include "uarch/probe.hh"
 
 namespace xui
 {
@@ -83,11 +83,13 @@ class TraceLog
     std::vector<TraceRecord> records_;
 };
 
-/** Tracer sink appending every event to a TraceLog. */
-class LogTracer : public Tracer
+/** Probe appending every pipeline event to a TraceLog. */
+class LogTracer : public CoreProbe
 {
   public:
-    explicit LogTracer(TraceLog &log) : log_(log) {}
+    explicit LogTracer(TraceLog &log)
+        : CoreProbe(/*pipeline_events=*/true), log_(log)
+    {}
 
     void event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
                std::uint32_t pc, OpClass cls) override;
@@ -97,16 +99,19 @@ class LogTracer : public Tracer
 };
 
 /**
- * Tracer sink comparing a live run against a recorded log.
+ * Probe comparing a live run's pipeline events against a recorded
+ * log.
  * Divergence is latched at the first mismatching (or extra) event;
  * later events are still counted but not re-compared so the report
  * names the root divergence, not the noise after it.
  */
-class ReplayTracer : public Tracer
+class ReplayTracer : public CoreProbe
 {
   public:
     /** @param golden the recorded reference stream (not owned). */
-    explicit ReplayTracer(const TraceLog &golden) : golden_(golden) {}
+    explicit ReplayTracer(const TraceLog &golden)
+        : CoreProbe(/*pipeline_events=*/true), golden_(golden)
+    {}
 
     void event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
                std::uint32_t pc, OpClass cls) override;

@@ -191,6 +191,7 @@ TEST(SimulationDeterminism, MakeRngStreamsReproducible)
 #include "uarch/uarch_system.hh"
 #include "verify/digest_tracer.hh"
 #include "verify/scenario.hh"
+#include "verify/scenario_run.hh"
 
 namespace
 {
@@ -383,11 +384,10 @@ TEST(GoldenCorpus, ProfilingIsDigestNeutral)
             MetricsRegistry reg;
             TraceJsonWriter trace;
             PipelinePressureProfiler prof(pc, &reg, &trace);
-            return runScenario(
-                corpusConfig(g.seed, g.strategy), nullptr, nullptr,
-                &prof, [&prof](UarchSystem &sys) {
-                    prof.attachCore(sys.core(0));
-                });
+            ScenarioRun run(corpusConfig(g.seed, g.strategy));
+            run.addProbe(prof.makeProbe(run.core()));
+            run.runToEnd();
+            return run.finish();
         });
     for (std::size_t i = 0; i < n; ++i) {
         const CorpusGolden &g = kCorpusGoldens[i];
@@ -409,10 +409,9 @@ TEST(GoldenCorpus, ProfilingIsDigestNeutral)
     MetricsRegistry reg;
     TraceJsonWriter trace;
     PipelinePressureProfiler prof(pc, &reg, &trace);
-    runScenario(
-        corpusConfig(1, DeliveryStrategy::Tracked), nullptr,
-        nullptr, &prof,
-        [&prof](UarchSystem &sys) { prof.attachCore(sys.core(0)); });
+    ScenarioRun run(corpusConfig(1, DeliveryStrategy::Tracked));
+    run.addProbe(prof.makeProbe(run.core()));
+    run.runToEnd();
     EXPECT_GT(prof.samplesEmitted(), 0u);
     EXPECT_GT(prof.burstSamples(), 0u);
     const Counter *spans =
@@ -433,15 +432,13 @@ TEST(GoldenCorpus, PriorityOffIsDigestNeutral)
     std::vector<ScenarioResult> results = exec::sweep(
         n, 4, [](std::size_t i) {
             const CorpusGolden &g = kCorpusGoldens[i];
-            return runScenario(
-                corpusConfig(g.seed, g.strategy), nullptr, nullptr,
-                nullptr, [](UarchSystem &sys) {
-                    InterruptUnit &u = sys.core(0).intrUnit();
-                    for (unsigned v = 0; v < 256; ++v)
-                        u.setVectorPriority(
-                            static_cast<std::uint8_t>(v), 0);
-                    ASSERT_FALSE(u.priorityEnabled());
-                });
+            ScenarioRun run(corpusConfig(g.seed, g.strategy));
+            InterruptUnit &u = run.core().intrUnit();
+            for (unsigned v = 0; v < 256; ++v)
+                u.setVectorPriority(static_cast<std::uint8_t>(v), 0);
+            EXPECT_FALSE(u.priorityEnabled());
+            run.runToEnd();
+            return run.finish();
         });
     for (std::size_t i = 0; i < n; ++i) {
         const CorpusGolden &g = kCorpusGoldens[i];
@@ -552,7 +549,7 @@ runHaltTimer(bool tick_skip, DeliveryStrategy strategy)
     UarchSystem sys(7);
     OooCore &core = sys.addCore(params, &prog);
     DigestTracer digest;
-    sys.setTracer(&digest);
+    sys.setProbe(&digest);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, 5000, KbTimerMode::Periodic);
     core.runCycles(5'000'000);

@@ -20,7 +20,7 @@
 #include "obs/metrics.hh"
 #include "os/kernel.hh"
 #include "runtime/sender.hh"
-#include "uarch/interrupt_unit.hh"
+#include "uarch/probe.hh"
 
 using namespace xui;
 
@@ -631,25 +631,35 @@ TEST(ReliableSender, ExhaustionCountsFallback)
     EXPECT_TRUE(rig.ledger.ok());
 }
 
-// ----- uarch raise hook ----------------------------------------------
+// ----- uarch raise outcome (CoreProbe::onRaise) ---------------------
 
-TEST(RaiseFaultHook, DropSuppressesEnqueueAndReturnsZero)
+/** Decides every raise's outcome. */
+struct OutcomeProbe : CoreProbe
+{
+    explicit OutcomeProbe(InterruptUnit::RaiseOutcome o) : outcome(o) {}
+
+    InterruptUnit::RaiseOutcome
+    onRaise(IntrSource, std::uint8_t) override
+    {
+        return outcome;
+    }
+
+    InterruptUnit::RaiseOutcome outcome;
+};
+
+TEST(RaiseProbe, DropSuppressesEnqueueAndReturnsZero)
 {
     InterruptUnit u;
-    u.setRaiseFaultHook([](IntrSource, std::uint8_t) {
-        return InterruptUnit::RaiseOutcome::Drop;
-    });
-    EXPECT_EQ(u.raise(IntrSource::UserIpi, 1, 10), 0u);
+    OutcomeProbe drop(InterruptUnit::RaiseOutcome::Drop);
+    EXPECT_EQ(u.raise(IntrSource::UserIpi, 1, 10, &drop), 0u);
     EXPECT_FALSE(u.pendingAvailable());
 }
 
-TEST(RaiseFaultHook, DuplicateEnqueuesTwiceWithOneSpan)
+TEST(RaiseProbe, DuplicateEnqueuesTwiceWithOneSpan)
 {
     InterruptUnit u;
-    u.setRaiseFaultHook([](IntrSource, std::uint8_t) {
-        return InterruptUnit::RaiseOutcome::Duplicate;
-    });
-    std::uint64_t span = u.raise(IntrSource::KbTimer, 33, 10);
+    OutcomeProbe dup(InterruptUnit::RaiseOutcome::Duplicate);
+    std::uint64_t span = u.raise(IntrSource::KbTimer, 33, 10, &dup);
     EXPECT_NE(span, 0u);
     EXPECT_EQ(u.pendingCount(), 2u);
     PendingIntr a = u.accept();
@@ -659,11 +669,13 @@ TEST(RaiseFaultHook, DuplicateEnqueuesTwiceWithOneSpan)
     EXPECT_EQ(b.spanId, span);
 }
 
-TEST(RaiseFaultHook, NoHookBehavesExactlyAsBefore)
+TEST(RaiseProbe, NoHookBehavesExactlyAsBefore)
 {
+    // No probe, and a probe that does not override onRaise().
     InterruptUnit u;
+    CoreProbe idle;
     EXPECT_EQ(u.raise(IntrSource::UserIpi, 1, 5), 1u);
-    EXPECT_EQ(u.raise(IntrSource::UserIpi, 2, 6), 2u);
+    EXPECT_EQ(u.raise(IntrSource::UserIpi, 2, 6, &idle), 2u);
     EXPECT_EQ(u.pendingCount(), 2u);
 }
 

@@ -17,7 +17,7 @@
  *    golden-corpus row;
  *  - preemption lifecycles (save/restore) complete under the same
  *    adversarial schedule;
- *  - the sampler's burst-detail demand (CycleHook::wantDetailUntil)
+ *  - the sampler's burst-detail demand (CoreProbe::wantDetailUntil)
  *    vetoes fast-forward;
  *  - delivery-latency distributions of a sampled run stay within
  *    tolerance of full detail (statcheck);
@@ -204,15 +204,10 @@ TEST(FastForward, PreemptionSurvivesAdversarialWindows)
               core.stats().interruptsDelivered);
 }
 
-/** A cycle hook demanding detail (the sampler in a burst) vetoes
+/** A probe demanding detail (the sampler in a burst) vetoes
  *  fast-forward entry for as long as the demand stands. */
 TEST(FastForward, WantDetailUntilVetoesEntry)
 {
-    struct DemandHook : CycleHook
-    {
-        void onCycle(const OooCore &, bool, bool) override {}
-    };
-
     Program p = makeSpinLoop();
     CoreParams params;
     params.strategy = DeliveryStrategy::Tracked;
@@ -224,9 +219,9 @@ TEST(FastForward, WantDetailUntilVetoesEntry)
     OooCore &core = vetoed.addCore(params, &p);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, 8000, KbTimerMode::Periodic);
-    DemandHook hook;
-    hook.wantDetailUntil = ~Cycles(0);
-    core.setCycleHook(&hook);
+    CoreProbe demand;
+    demand.wantDetailUntil = ~Cycles(0);
+    core.setProbe(&demand);
     core.runCycles(40000);
     EXPECT_EQ(core.stats().ffEntries, 0u);
 

@@ -21,7 +21,7 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "obs/trace_export.hh"
-#include "uarch/intr_observer.hh"
+#include "uarch/probe.hh"
 #include "uarch/uarch_system.hh"
 #include "verify/digest_tracer.hh"
 #include "workloads/kernels.hh"
@@ -231,7 +231,7 @@ TEST(IntrSpans, KbTimerStagesSumToEndToEnd)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(42);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&spans);
+    sys.setProbe(&spans);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(5), KbTimerMode::Periodic);
     core.runCycles(100000);
@@ -255,7 +255,7 @@ TEST(IntrSpans, UserIpiStagesSumToEndToEnd)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(7);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&spans);
+    sys.setProbe(&spans);
     core.upid().setNotificationVector(core.uinv());
     core.upid().setDestination(core.id());
     for (int i = 0; i < 10; ++i) {
@@ -277,7 +277,7 @@ TEST(IntrSpans, ForwardedStagesSumToEndToEnd)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(23);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&spans);
+    sys.setProbe(&spans);
     core.forwarding().enableVector(0x80);
     Bitset256 mask;
     mask.set(0x80);
@@ -313,7 +313,7 @@ TEST(IntrSpans, TrackedReinjectionKeepsTelescoping)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(42);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&spans);
+    sys.setProbe(&spans);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(2), KbTimerMode::Periodic);
     core.runUntilCommitted(200000, 200000000);
@@ -343,9 +343,11 @@ TEST(IntrSpans, ObserverDoesNotPerturbTiming)
         UarchSystem sys(42);
         OooCore &core = sys.addCore(params, &p);
         DigestTracer digest;
-        core.setTracer(&digest);
+        ProbeTee tee;
+        tee.add(&digest);
         if (observed)
-            sys.setIntrObserver(&spans);
+            tee.add(&spans);
+        core.setProbe(&tee);
         core.kbTimer().configure(true, 0x21);
         core.kbTimer().setTimer(0, usToCycles(5),
                                 KbTimerMode::Periodic);
@@ -368,7 +370,7 @@ TEST(TraceExport, SpanExportIsValidChromeTraceJson)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(42);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&spans);
+    sys.setProbe(&spans);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(5), KbTimerMode::Periodic);
     core.runCycles(50000);
@@ -470,6 +472,16 @@ TEST(BenchArgsDeathTest, JobsGarbageExitsTwo)
     EXPECT_EXIT(parse({"--jobs", "4x"}),
                 ::testing::ExitedWithCode(2),
                 "--jobs needs an integer >= 1, got '4x'");
+}
+
+TEST(BenchArgsDeathTest, SeedGarbageExitsTwo)
+{
+    EXPECT_EXIT(parse({"--seed", "abc"}),
+                ::testing::ExitedWithCode(2),
+                "--seed needs a non-negative integer, got 'abc'");
+    EXPECT_EXIT(parse({"--seed", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "--seed needs a non-negative integer, got '-1'");
 }
 
 TEST(BenchArgsDeathTest, JobsMissingValueExitsTwo)
@@ -627,8 +639,7 @@ TEST(PipelineProfiler, CounterTracksEmitValidPerfettoShape)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(42);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&prof);
-    prof.attachCore(core);
+    core.setProbe(prof.makeProbe(core));
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(5), KbTimerMode::Periodic);
     core.runCycles(50000);
@@ -671,8 +682,7 @@ TEST(PipelineProfiler, SamplingOffEmitsNothing)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(42);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&prof);
-    prof.attachCore(core);
+    core.setProbe(prof.makeProbe(core));
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(5), KbTimerMode::Periodic);
     core.runCycles(50000);
@@ -692,15 +702,14 @@ TEST(PipelineProfiler, TaxBucketsTelescopeToSpanEndToEnd)
         ProfileConfig cfg;
         cfg.tax = true;
         PipelinePressureProfiler prof(cfg, &reg, nullptr);
-        IntrObserverTee tee;
-        tee.add(&spans);
-        tee.add(&prof);
         CoreParams params;
         params.strategy = strategy;
         UarchSystem sys(42);
         OooCore &core = sys.addCore(params, &p);
-        sys.setIntrObserver(&tee);
-        prof.attachCore(core);
+        ProbeTee tee;
+        tee.add(&spans);
+        tee.add(prof.makeProbe(core));
+        core.setProbe(&tee);
         core.kbTimer().configure(true, 0x21);
         core.kbTimer().setTimer(0, usToCycles(5),
                                 KbTimerMode::Periodic);
@@ -753,8 +762,7 @@ TEST(PipelineProfiler, TaxOnlyRunEmitsNoTraceEvents)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(9);
     OooCore &core = sys.addCore(params, &p);
-    sys.setIntrObserver(&prof);
-    prof.attachCore(core);
+    core.setProbe(prof.makeProbe(core));
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(5), KbTimerMode::Periodic);
     core.runCycles(50000);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Pipeline-tracer tests: every micro-op flows through the stages in
- * order, interrupt events appear in the right sequence, and the
- * stream tracer renders sane text.
+ * Core-probe tests: every micro-op flows through the stages in
+ * order, interrupt events appear in the right sequence, the stream
+ * tracer renders sane text, and a ProbeTee gates each of its sinks
+ * by that sink's own marks and interests.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "uarch/trace.hh"
 #include "uarch/uarch_system.hh"
 #include "workloads/kernels.hh"
 
@@ -28,9 +30,11 @@ struct Record
     OpClass cls;
 };
 
-class RecordingTracer : public Tracer
+class RecordingTracer : public CoreProbe
 {
   public:
+    RecordingTracer() : CoreProbe(/*pipeline_events=*/true) {}
+
     void
     event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
           std::uint32_t pc, OpClass cls) override
@@ -62,7 +66,7 @@ TEST(Trace, StagesInOrderPerUop)
     RecordingTracer tracer;
     UarchSystem sys(1);
     OooCore &core = sys.addCore(CoreParams{}, &p);
-    core.setTracer(&tracer);
+    core.setProbe(&tracer);
     core.runCycles(300);
 
     // Collect per-seq stage cycles and verify ordering.
@@ -120,7 +124,7 @@ TEST(Trace, InterruptEventSequence)
     params.strategy = DeliveryStrategy::Tracked;
     UarchSystem sys(1);
     OooCore &core = sys.addCore(params, &p);
-    core.setTracer(&tracer);
+    core.setProbe(&tracer);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, usToCycles(2),
                             KbTimerMode::Periodic);
@@ -173,7 +177,7 @@ TEST(Trace, StreamTracerRendersText)
     StreamTracer tracer(os);
     UarchSystem sys(1);
     OooCore &core = sys.addCore(CoreParams{}, &p);
-    core.setTracer(&tracer);
+    core.setProbe(&tracer);
     core.runCycles(50);
     std::string out = os.str();
     EXPECT_NE(out.find("fetch"), std::string::npos);
@@ -192,7 +196,7 @@ TEST(Trace, NoTracerNoOverheadPathStillCorrect)
         UarchSystem sys(1);
         OooCore &core = sys.addCore(CoreParams{}, &p);
         if (traced)
-            core.setTracer(&tracer);
+            core.setProbe(&tracer);
         core.runUntilCommitted(5000, 1000000);
         return core.now();
     };
@@ -226,4 +230,99 @@ TEST(Trace, EveryEventNameDefinedAndUnique)
             << " share the name '" << name << "'";
     }
     EXPECT_EQ(seen.size(), kNumTraceEvents);
+}
+
+namespace
+{
+
+/** Samples every `stride` cycles and at every lifecycle stage (as
+ *  the profiler's burst does); counts live calls and any pipeline
+ *  event. */
+struct StrideProbe : CoreProbe
+{
+    explicit StrideProbe(Cycles s) : stride(s) { nextSampleAt = s; }
+
+    void
+    intrStage(IntrStage, std::uint64_t, IntrSource, std::uint8_t,
+              Cycles cycle, unsigned) override
+    {
+        nextSampleAt = cycle;
+    }
+
+    void
+    event(TraceEvent, Cycles, std::uint64_t, std::uint32_t,
+          OpClass) override
+    {
+        ++events;
+    }
+
+    void
+    onCycle(const OooCore &core, bool sampled, bool live) override
+    {
+        liveCalls += live;
+        if (sampled) {
+            cycles.push_back(core.now());
+            nextSampleAt = core.now() + stride;
+        }
+    }
+
+    Cycles stride;
+    std::uint64_t liveCalls = 0;
+    std::uint64_t events = 0;
+    std::vector<Cycles> cycles;
+};
+
+} // namespace
+
+TEST(ProbeTee, FansOutAndGatesEachSink)
+{
+    StrideProbe a(7), b(11);
+    // A sink with an open span and no sample mark: called every
+    // cycle, as live, never as sampled.
+    StrideProbe live(CoreProbe::kNeverSample);
+    live.liveSpans = 1;
+    ProbeTee tee;
+    tee.add(&a);
+    tee.add(nullptr);  // ignored
+    tee.add(&b);
+    tee.add(&live);
+    EXPECT_EQ(tee.size(), 3u);
+    // The gate is recomputed on add: earliest mark, summed spans.
+    EXPECT_EQ(tee.nextSampleAt, 7u);
+    EXPECT_EQ(tee.liveSpans, 1u);
+    // Neither sink takes pipeline events, so neither does the tee.
+    EXPECT_FALSE(tee.takesPipelineEvents());
+    RecordingTracer rec;
+    tee.add(&rec);
+    EXPECT_TRUE(tee.takesPipelineEvents());
+
+    // tinyLoop never halts, so every cycle is ticked in detail.
+    Program p = tinyLoop();
+    UarchSystem sys(1);
+    OooCore &core = sys.addCore(CoreParams{}, &p);
+    core.setProbe(&tee);
+    core.runCycles(200);
+
+    // Each sink saw onCycle exactly at its own marks, not at the
+    // other sink's (the tee's gate opens at the earliest of both).
+    auto multiples = [](Cycles stride) {
+        std::vector<Cycles> v;
+        for (Cycles c = stride; c <= 200; c += stride)
+            v.push_back(c);
+        return v;
+    };
+    EXPECT_EQ(a.cycles, multiples(7));
+    EXPECT_EQ(b.cycles, multiples(11));
+    EXPECT_EQ(a.liveCalls + b.liveCalls, 0u);
+    EXPECT_EQ(live.liveCalls, 200u);
+    EXPECT_TRUE(live.cycles.empty());
+    // ...after every forwarded cycle and lifecycle call.
+    EXPECT_EQ(tee.nextSampleAt, 203u);
+    tee.intrStage(IntrStage::Raise, 1, IntrSource::KbTimer, 0x21, 150,
+                  0);
+    EXPECT_EQ(tee.nextSampleAt, 150u);
+    // Pipeline events reach only the sink that takes them.
+    EXPECT_GT(rec.records.size(), 0u);
+    EXPECT_EQ(a.events, 0u);
+    EXPECT_EQ(b.events, 0u);
 }

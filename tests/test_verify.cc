@@ -35,6 +35,14 @@ smallScenario(std::uint64_t program_seed = 42,
     return cfg;
 }
 
+/** Run smallScenario() recording its pipeline events into `log`. */
+ScenarioResult
+recordSmall(TraceLog &log)
+{
+    LogTracer logger(log);
+    return runScenario(smallScenario(), &logger);
+}
+
 } // namespace
 
 TEST(DigestTracerTest, SameRunSameDigest)
@@ -75,7 +83,7 @@ TEST(DigestTracerTest, CountsAndPcsConsistent)
     digest.collectCommitPcs(&pcs);
     UarchSystem sys(5);
     OooCore &core = sys.addCore(CoreParams{}, &p);
-    core.setTracer(&digest);
+    core.setProbe(&digest);
     core.runCycles(20000);
     EXPECT_EQ(digest.programCommitCount(), pcs.size());
     EXPECT_GT(pcs.size(), 100u);
@@ -88,33 +96,10 @@ TEST(DigestTracerTest, CountsAndPcsConsistent)
         EXPECT_LT(pc, p.size());
 }
 
-TEST(TeeTracerTest, FansOutToAllSinks)
-{
-    Program p = makeFuzzProgram(6, {});
-    DigestTracer d1, d2;
-    TraceLog log;
-    LogTracer logger(log);
-    TeeTracer tee;
-    tee.attach(&d1);
-    tee.attach(&d2);
-    tee.attach(&logger);
-    tee.attach(nullptr);  // ignored
-    EXPECT_EQ(tee.numSinks(), 3u);
-
-    UarchSystem sys(6);
-    OooCore &core = sys.addCore(CoreParams{}, &p);
-    core.setTracer(&tee);
-    core.runCycles(5000);
-
-    EXPECT_GT(d1.eventCount(), 0u);
-    EXPECT_EQ(d1.fullDigest(), d2.fullDigest());
-    EXPECT_EQ(d1.eventCount(), log.size());
-}
-
 TEST(TraceLogTest, SaveLoadRoundTrip)
 {
     TraceLog log;
-    ScenarioResult r = runScenario(smallScenario(), &log);
+    ScenarioResult r = recordSmall(log);
     ASSERT_GT(log.size(), 1000u);
     EXPECT_EQ(r.eventCount, log.size());
 
@@ -154,10 +139,10 @@ TEST(TraceLogTest, LoadRejectsGarbage)
 TEST(TraceLogTest, ReplayMatchesIdenticalRun)
 {
     TraceLog golden;
-    runScenario(smallScenario(), &golden);
+    recordSmall(golden);
 
     ReplayTracer replay(golden);
-    runScenario(smallScenario(), nullptr, &replay);
+    runScenario(smallScenario(), &replay);
     EXPECT_TRUE(replay.ok()) << replay.message();
     EXPECT_EQ(replay.received(), golden.size());
 }
@@ -165,7 +150,7 @@ TEST(TraceLogTest, ReplayMatchesIdenticalRun)
 TEST(TraceLogTest, ReplayDetectsPerturbedRecord)
 {
     TraceLog golden;
-    runScenario(smallScenario(), &golden);
+    recordSmall(golden);
     ASSERT_GT(golden.size(), 5000u);
 
     // Perturb one mid-stream record by a single cycle.
@@ -173,7 +158,7 @@ TEST(TraceLogTest, ReplayDetectsPerturbedRecord)
     golden.records()[victim].cycle += 1;
 
     ReplayTracer replay(golden);
-    runScenario(smallScenario(), nullptr, &replay);
+    runScenario(smallScenario(), &replay);
     EXPECT_FALSE(replay.ok());
     EXPECT_TRUE(replay.diverged());
     EXPECT_EQ(replay.divergenceIndex(), victim);
@@ -185,14 +170,14 @@ TEST(TraceLogTest, ReplayDetectsPerturbedRecord)
 TEST(TraceLogTest, ReplayDetectsMissingAndExtraEvents)
 {
     TraceLog golden;
-    runScenario(smallScenario(), &golden);
+    recordSmall(golden);
     ASSERT_GT(golden.size(), 100u);
 
     // Golden shorter than live: live emits an extra event.
     TraceLog shorter = golden;
     shorter.records().pop_back();
     ReplayTracer extra(shorter);
-    runScenario(smallScenario(), nullptr, &extra);
+    runScenario(smallScenario(), &extra);
     EXPECT_FALSE(extra.ok());
     EXPECT_TRUE(extra.diverged());
     EXPECT_EQ(extra.divergenceIndex(), shorter.size());
@@ -201,7 +186,7 @@ TEST(TraceLogTest, ReplayDetectsMissingAndExtraEvents)
     TraceLog longer = golden;
     longer.append(golden.at(0));
     ReplayTracer missing(longer);
-    runScenario(smallScenario(), nullptr, &missing);
+    runScenario(smallScenario(), &missing);
     EXPECT_FALSE(missing.ok());
     EXPECT_FALSE(missing.diverged());
     EXPECT_NE(missing.message().find("ended early"),
@@ -212,7 +197,7 @@ TEST(TraceLogTest, ReplayDetectsMissingAndExtraEvents)
 TEST(TraceLogTest, DigestDetectsPerturbation)
 {
     TraceLog log;
-    runScenario(smallScenario(), &log);
+    recordSmall(log);
     std::uint64_t clean = log.digest();
     log.records()[log.size() / 3].pc ^= 1;
     EXPECT_NE(log.digest(), clean);

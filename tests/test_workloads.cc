@@ -65,7 +65,7 @@ runKernelGolden(const KernelGolden &g)
     UarchSystem sys(7);
     OooCore &core = sys.addCore(params, &g.prog);
     DigestTracer digest;
-    sys.setTracer(&digest);
+    sys.setProbe(&digest);
     if (g.timer) {
         core.kbTimer().configure(true, 0x21);
         core.kbTimer().setTimer(0, 300, KbTimerMode::Periodic);
@@ -178,7 +178,7 @@ TEST(WorkloadKernels, SenderReceiverGoldenPinned)
     Program sendProg = makeSenderLoop(static_cast<unsigned>(idx));
     OooCore &send = sys.addCore(params, &sendProg);
     DigestTracer digest;
-    sys.setTracer(&digest);
+    sys.setProbe(&digest);
     sys.run(200000);
 
     EXPECT_EQ(digest.fullDigest(), 0x0627f346b4347db0ull);
@@ -397,7 +397,7 @@ runPriorityScenario(unsigned level, DeliveryStrategy strategy)
     UarchSystem sys(5 * 1000003 + 17);
     OooCore &core = sys.addCore(params, &prog);
     DigestTracer digest;
-    sys.setTracer(&digest);
+    sys.setProbe(&digest);
     core.kbTimer().configure(true, 0x21);
     core.kbTimer().setTimer(0, 2000, KbTimerMode::Periodic);
     core.intrUnit().setVectorPriority(0x50, clampPriority(level));

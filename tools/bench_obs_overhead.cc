@@ -1,24 +1,26 @@
 /**
  * @file
- * Observability-overhead smoke: pins the "zero cost when detached"
- * claim for the pipeline-pressure profiler (src/obs/sampler.hh).
+ * Observability-overhead smoke: pins the "zero cost when idle" claim
+ * for the pipeline-pressure profiler (src/obs/sampler.hh) on the
+ * core's probe seam (src/uarch/probe.hh).
  *
- * Runs the same deterministic scenario twice per trial, in-process
- * and interleaved to cancel host drift:
+ * Runs the same deterministic ScenarioRun twice per trial,
+ * in-process and interleaved to cancel host drift:
  *
- *   A  detached  — no cycle hook installed (the shipping default);
- *   B  attached  — a profiler probe installed with sampling AND tax
- *                  off, so the hook's fast path (two integer
- *                  compares against the absolute liveSpans /
- *                  nextSampleAt marks, no virtual call) runs every
- *                  cycle but never fires.
+ *   A  detached  — the scenario's digest alone in the core's
+ *                  ProbeTee (the shipping verify configuration);
+ *   B  attached  — a profiler probe added to that tee with sampling
+ *                  AND tax off. The probe takes no pipeline events,
+ *                  so the per-event path is unchanged; its gate
+ *                  (liveSpans / nextSampleAt) never opens, so no
+ *                  end-of-tick virtual call fires; only the tee's
+ *                  per-lifecycle-stage forwarding grows by one sink.
  *
- * B's cost is a strict upper bound on the cost the hook adds to an
- * unprofiled run: the detached path is B minus even the compares.
  * The gate fails (exit 1) when the median attached slowdown exceeds
  * 2% — the budget CI grants the whole observation layer.
  *
- * Usage: bench_obs_overhead [--quick] [--trials N]
+ * Usage: bench_obs_overhead [--quick] [--trials N] [--version]
+ * A malformed or zero --trials exits 2 with usage.
  */
 
 #include <algorithm>
@@ -26,14 +28,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <vector>
 
 #include "ckpt/build_info.hh"
 #include "ckpt/snapshot.hh"
+#include "exec/sweep.hh"
 #include "obs/sampler.hh"
-#include "uarch/uarch_system.hh"
-#include "verify/scenario.hh"
+#include "verify/scenario_run.hh"
 
 namespace
 {
@@ -44,19 +45,16 @@ double
 runOnce(const xui::ScenarioConfig &cfg, bool attached)
 {
     using clock = std::chrono::steady_clock;
-    // Sampling off (stride 0) + tax off: the hook is installed but
+    // Sampling off (stride 0) + tax off: the probe is attached but
     // its onCycle() never fires — we time the dead branch itself.
     xui::ProfileConfig pc;
     xui::PipelinePressureProfiler prof(pc, nullptr, nullptr);
-    std::function<void(xui::UarchSystem &)> pre;
-    if (attached)
-        pre = [&prof](xui::UarchSystem &sys) {
-            prof.attachCore(sys.core(0));
-        };
     auto t0 = clock::now();
-    xui::ScenarioResult r =
-        xui::runScenario(cfg, nullptr, nullptr,
-                         attached ? &prof : nullptr, pre);
+    xui::ScenarioRun run(cfg);
+    if (attached)
+        run.addProbe(prof.makeProbe(run.core()));
+    run.runToEnd();
+    xui::ScenarioResult r = run.finish();
     auto t1 = clock::now();
     if (!r.ok()) {
         std::fprintf(stderr,
@@ -80,16 +78,15 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    unsigned trials = 5;
+    std::uint64_t trials = 5;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
         } else if (std::strcmp(argv[i], "--trials") == 0 &&
-                   i + 1 < argc) {
-            trials = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (trials == 0)
-                trials = 1;
+                   i + 1 < argc &&
+                   xui::exec::parseU64Strict(argv[i + 1], trials) &&
+                   trials > 0) {
+            ++i;
         } else if (std::strcmp(argv[i], "--version") == 0) {
             std::printf("%s %s (%s), snapshot format %u\n",
                         argv[0], xui::ckpt::kBuildGitSha,
@@ -117,7 +114,7 @@ main(int argc, char **argv)
     // A/B trials; medians cancel one-off host noise.
     runOnce(cfg, false);
     std::vector<double> detached, attached;
-    for (unsigned t = 0; t < trials; ++t) {
+    for (std::uint64_t t = 0; t < trials; ++t) {
         detached.push_back(runOnce(cfg, false));
         attached.push_back(runOnce(cfg, true));
     }
@@ -127,8 +124,9 @@ main(int argc, char **argv)
     double pct = (a - d) / d * 100.0;
     std::printf("bench_obs_overhead: detached %.6fs, attached "
                 "(sampling off) %.6fs, delta %+.2f%% (budget "
-                "%.1f%%, %u trials)\n",
-                d, a, pct, kBudgetPct, trials);
+                "%.1f%%, %llu trials)\n",
+                d, a, pct, kBudgetPct,
+                static_cast<unsigned long long>(trials));
     if (pct > kBudgetPct) {
         std::printf("FAIL: profiling hook costs more than %.1f%% "
                     "with sampling off\n",

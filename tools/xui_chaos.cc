@@ -42,6 +42,9 @@
  *   xui_chaos --replay --scenario NAME --seed S --schedule TEXT
  *             [--checkpoint-every N] [--crash-at K]
  *             [--ckpt-dir DIR] [--restore FILE]
+ *
+ * A malformed numeric value (sign, non-digit, trailing junk, or 0
+ * for a count where zero means an empty run) exits 2 with usage.
  */
 
 #include <cstdint>
@@ -49,6 +52,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -102,22 +106,23 @@ usage(const char *argv0)
         << "       [--ckpt-dir DIR] [--restore FILE]\n";
 }
 
-/** Digits only, no sign/whitespace/trailing junk, must fit u64. */
+/**
+ * Strict numeric flag value: digits only, fits `out`, and at least
+ * `min` (1 where zero would mean an empty run). Reports and returns
+ * false on anything else.
+ */
+template <typename T>
 bool
-parseU64Strict(const char *s, std::uint64_t &out)
+numericFlag(const char *flag, const char *v, T &out, std::uint64_t min)
 {
-    if (*s == '\0')
+    std::uint64_t x = 0;
+    if (!exec::parseU64Strict(v, x) || x < min ||
+        x > std::numeric_limits<T>::max()) {
+        std::cerr << flag << " needs an integer >= " << min
+                  << ", got '" << v << "'\n";
         return false;
-    std::uint64_t v = 0;
-    for (const char *p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        std::uint64_t d = static_cast<std::uint64_t>(*p - '0');
-        if (v > (~std::uint64_t(0) - d) / 10)
-            return false;
-        v = v * 10 + d;
     }
-    out = v;
+    out = static_cast<T>(x);
     return true;
 }
 
@@ -139,20 +144,16 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.scenario = v;
         } else if (std::strcmp(argv[i], "--seeds") == 0) {
             const char *v = need("--seeds");
-            if (!v)
+            if (!v || !numericFlag("--seeds", v, opt.seeds, 1))
                 return false;
-            opt.seeds =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (std::strcmp(argv[i], "--seed-base") == 0) {
             const char *v = need("--seed-base");
-            if (!v)
+            if (!v || !numericFlag("--seed-base", v, opt.seedBase, 0))
                 return false;
-            opt.seedBase = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
             const char *v = need("--seed");
-            if (!v)
+            if (!v || !numericFlag("--seed", v, opt.seed, 0))
                 return false;
-            opt.seed = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             const char *v = need("--jobs");
             if (!v)
@@ -164,20 +165,16 @@ parseArgs(int argc, char **argv, Options &opt)
             }
         } else if (std::strcmp(argv[i], "--directives") == 0) {
             const char *v = need("--directives");
-            if (!v)
+            if (!v || !numericFlag("--directives", v, opt.directives, 0))
                 return false;
-            opt.directives =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (std::strcmp(argv[i], "--horizon") == 0) {
             const char *v = need("--horizon");
-            if (!v)
+            if (!v || !numericFlag("--horizon", v, opt.horizon, 1))
                 return false;
-            opt.horizon = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--budget") == 0) {
             const char *v = need("--budget");
-            if (!v)
+            if (!v || !numericFlag("--budget", v, opt.budget, 1))
                 return false;
-            opt.budget = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--no-recovery") == 0) {
             opt.recovery = false;
         } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
@@ -194,26 +191,13 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.outDir = v;
         } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
             const char *v = need("--checkpoint-every");
-            if (!v)
+            if (!v || !numericFlag("--checkpoint-every", v,
+                                   opt.checkpointEvery, 1))
                 return false;
-            if (!parseU64Strict(v, opt.checkpointEvery) ||
-                opt.checkpointEvery == 0) {
-                std::cerr << "--checkpoint-every needs an integer "
-                             ">= 1, got '"
-                          << v << "'\n";
-                return false;
-            }
         } else if (std::strcmp(argv[i], "--crash-at") == 0) {
             const char *v = need("--crash-at");
-            if (!v)
+            if (!v || !numericFlag("--crash-at", v, opt.crashAt, 1))
                 return false;
-            if (!parseU64Strict(v, opt.crashAt) ||
-                opt.crashAt == 0) {
-                std::cerr << "--crash-at needs an integer >= 1, "
-                             "got '"
-                          << v << "'\n";
-                return false;
-            }
         } else if (std::strcmp(argv[i], "--ckpt-dir") == 0) {
             const char *v = need("--ckpt-dir");
             if (!v)
@@ -241,7 +225,6 @@ parseArgs(int argc, char **argv, Options &opt)
             std::exit(0);
         } else {
             std::cerr << "unknown flag: " << argv[i] << '\n';
-            usage(argv[0]);
             return false;
         }
     }
@@ -438,8 +421,10 @@ main(int argc, char **argv)
     // Usage errors exit 2, matching the bench convention, so CI can
     // tell "bad invocation" apart from "cells failed" (also 2 — both
     // mean the run produced no trustworthy result).
-    if (!parseArgs(argc, argv, opt))
+    if (!parseArgs(argc, argv, opt)) {
+        usage(argv[0]);
         return 2;
+    }
     if (!opt.restorePath.empty() && !opt.replay) {
         std::cerr << "--restore is a --replay flag (a snapshot "
                      "resumes one cell, not a grid)\n";

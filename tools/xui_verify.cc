@@ -40,6 +40,9 @@
  * crash-consistent snapshot engine. --version prints the build
  * provenance stamped into snapshot headers.
  *
+ * A malformed numeric value (sign, non-digit, trailing junk, or 0
+ * for --programs/--seeds/--insts) exits 2 with usage.
+ *
  * Usage:
  *   xui_verify [--programs N] [--seeds K] [--insts M]
  *              [--timer-us U] [--safepoints] [--quiet] [--jobs N]
@@ -55,7 +58,6 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,10 +65,10 @@
 #include "ckpt/snapshot.hh"
 #include "exec/sweep.hh"
 #include "obs/session.hh"
-#include "obs/trace_export.hh"
 #include "verify/corpus.hh"
 #include "verify/roundtrip.hh"
-#include "verify/scenario.hh"
+#include "verify/scenario_run.hh"
+#include "verify/trace_log.hh"
 
 using namespace xui;
 
@@ -108,6 +110,25 @@ usage(const char *argv0)
         << "       [--version]\n";
 }
 
+/**
+ * Strict numeric flag value: digits only and at least `min` (1 where
+ * zero would mean an empty run). Reports and returns false on
+ * anything else.
+ */
+bool
+countFlag(const char *flag, const char *v, std::uint64_t &out,
+          std::uint64_t min)
+{
+    std::uint64_t x = 0;
+    if (!exec::parseU64Strict(v, x) || x < min) {
+        std::cerr << flag << " needs an integer >= " << min
+                  << ", got '" << v << "'\n";
+        return false;
+    }
+    out = x;
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -121,24 +142,25 @@ parseArgs(int argc, char **argv, Options &opt)
         };
         if (std::strcmp(argv[i], "--programs") == 0) {
             const char *v = need("--programs");
-            if (!v)
+            if (!v || !countFlag("--programs", v, opt.programs, 1))
                 return false;
-            opt.programs = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--seeds") == 0) {
             const char *v = need("--seeds");
-            if (!v)
+            if (!v || !countFlag("--seeds", v, opt.seeds, 1))
                 return false;
-            opt.seeds = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--insts") == 0) {
             const char *v = need("--insts");
-            if (!v)
+            if (!v || !countFlag("--insts", v, opt.insts, 1))
                 return false;
-            opt.insts = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--timer-us") == 0) {
             const char *v = need("--timer-us");
             if (!v)
                 return false;
-            opt.timerUs = std::strtod(v, nullptr);
+            if (!exec::parsePositiveDouble(v, opt.timerUs)) {
+                std::cerr << "--timer-us needs a positive number, got '"
+                          << v << "'\n";
+                return false;
+            }
         } else if (std::strcmp(argv[i], "--safepoints") == 0) {
             opt.safepoints = true;
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -155,9 +177,8 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.replayPath = v;
         } else if (std::strcmp(argv[i], "--record-seed") == 0) {
             const char *v = need("--record-seed");
-            if (!v)
+            if (!v || !countFlag("--record-seed", v, opt.recordSeed, 0))
                 return false;
-            opt.recordSeed = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
             const char *v = need("--metrics-json");
             if (!v)
@@ -187,7 +208,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!exec::parseJobs(v, opt.jobs)) {
                 std::cerr << "--jobs needs an integer >= 1, got '"
                           << v << "'\n";
-                usage(argv[0]);
                 return false;
             }
         } else if (std::strcmp(argv[i], "--help") == 0 ||
@@ -196,7 +216,6 @@ parseArgs(int argc, char **argv, Options &opt)
             std::exit(0);
         } else {
             std::cerr << "unknown flag: " << argv[i] << '\n';
-            usage(argv[0]);
             return false;
         }
     }
@@ -220,7 +239,8 @@ int
 recordGolden(const Options &opt)
 {
     TraceLog log;
-    ScenarioResult r = runScenario(goldenScenario(opt), &log);
+    LogTracer logger(log);
+    ScenarioResult r = runScenario(goldenScenario(opt), &logger);
     if (!log.saveFile(opt.recordPath)) {
         std::cerr << "failed to write " << opt.recordPath << '\n';
         return 1;
@@ -241,7 +261,7 @@ replayGolden(const Options &opt)
         return 1;
     }
     ReplayTracer replay(golden);
-    runScenario(goldenScenario(opt), nullptr, &replay);
+    runScenario(goldenScenario(opt), &replay);
     if (!replay.ok()) {
         std::cerr << "REPLAY FAIL: " << replay.message() << '\n';
         return 1;
@@ -292,14 +312,9 @@ exportObservability(const Options &opt)
     ObsSession obs(opt.metricsJson, opt.traceJson);
     if (!obs.enabled())
         return 0;
-    std::unique_ptr<PipelineTraceSink> sink;
-    if (obs.trace()) {
-        obs.trace()->nameProcess(kTracePidUarch, "uarch");
-        obs.trace()->nameThread(kTracePidUarch, 0, "core0");
-        sink = std::make_unique<PipelineTraceSink>(*obs.trace(), 0);
-    }
-    runScenario(goldenScenario(opt), nullptr, sink.get(),
-                obs.spanTracker());
+    ScenarioRun run(goldenScenario(opt));
+    run.addProbe(obs.probeFor(run.core()));
+    run.runToEnd();
     return obs.finish();
 }
 
@@ -309,8 +324,10 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
+    if (!parseArgs(argc, argv, opt)) {
+        usage(argv[0]);
         return 2;
+    }
 
     if (!opt.recordPath.empty())
         return recordGolden(opt);
