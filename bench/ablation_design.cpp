@@ -217,7 +217,11 @@ mwaitComparison(bool quick)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    flags.parse(argc, argv);
     bench::banner("Ablations: xUI design choices",
                   "DESIGN.md §4 (strategy vs window, safepoint "
                   "density, re-injection, mwait)");

@@ -1,28 +1,14 @@
 /**
  * @file
- * Shared helpers for the bench binaries: flag parsing and header
- * banners. Every bench accepts `--quick` (shorter runs for CI),
- * `--seed N`, `--jobs N` (worker threads for the config-grid sweep;
- * 0/unset = one per hardware thread, 1 = the legacy serial path —
- * results are bit-identical either way), and the observability
- * flags `--metrics-json FILE` / `--trace-json FILE` (src/obs:
- * metrics snapshot and Perfetto-loadable Chrome trace export).
- * The pipeline-pressure profiler rides on the same session:
- * `--counter-stride N` samples core occupancy/rate/memory counter
- * tracks into the trace every N cycles (burst mode drops to every
- * cycle around interrupt spans), and `--tax` attributes every cycle
- * under a live interrupt span to flush/refill/ucode/handler/shadow
- * buckets (`core.tax.*` in the metrics snapshot).
- * Checkpoint/restore rides on the same session: `--checkpoint-every
- * N` snapshots the checkpoint-capable scenario into a
- * crash-consistent generation set, `--restore FILE` resumes from a
- * snapshot (provenance-strict), and `--version` prints the build's
- * git SHA, build type, and snapshot format version (the values
- * stamped into every snapshot header).
- * Unknown flags, flags missing their value, and malformed numeric
- * values (signs, non-digits, trailing junk; 0 where it would mean an
- * empty run, e.g. `--jobs 0`) are errors: usage goes to stderr and
- * the bench exits with status 2.
+ * Shared helpers for the bench binaries: the flag declarations they
+ * draw from and the header banner.
+ *
+ * Every bench declares, on one exec::FlagSet, only the flags some
+ * code path in it reads; `--help` prints exactly that list, and any
+ * other flag exits 2 with usage (src/exec/flags.hh). The helpers
+ * below declare each shared flag once — its name, metavar, help
+ * line, Options target, and check — so the benches, the tests, and
+ * the generated usage all agree on them.
  */
 
 #ifndef XUI_BENCH_BENCH_UTIL_HH
@@ -30,13 +16,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
+#include "exec/flags.hh"
 #include "intr/policy.hh"
 
 namespace xui::bench
@@ -89,13 +72,6 @@ parsePolicyName(const char *v, PolicyChoice &out)
     }
     out = c;
     return true;
-}
-
-inline const char *
-policyUsageNames()
-{
-    return "off|next_only_edge|next_only_level|next_or_missed_edge|"
-           "next_or_missed_level|moderated|adaptive";
 }
 
 struct Options
@@ -165,248 +141,87 @@ struct Options
     std::string restorePath;
 };
 
+/** `--quick` and `--seed N`: every bench. */
 inline void
-printUsage(std::FILE *out, const char *prog)
+declareQuickSeed(exec::FlagSet &f, Options &o)
 {
-    std::fprintf(out,
-                 "usage: %s [--quick] [--seed N] [--jobs N] "
-                 "[--metrics-json FILE] [--trace-json FILE]\n"
-                 "       [--counter-stride N] [--tax]\n"
-                 "       [--policy %s]\n"
-                 "       [--itr-ns N] [--offered-load X]\n"
-                 "       [--rt-vector V] [--priority P]\n"
-                 "       [--ff] [--detail-window N]\n"
-                 "       [--checkpoint-every N] [--restore FILE]\n"
-                 "       [--version]\n",
-                 prog, policyUsageNames());
+    f.flag("--quick", "shorter runs (the CI smoke sizes)", o.quick)
+        .uint("--seed", "N", "base RNG seed (default 1)", o.seed);
 }
 
-inline Options
-parseArgs(int argc, char **argv)
+/** `--metrics-json` / `--trace-json`: the obs session's exports. */
+inline void
+declareExports(exec::FlagSet &f, Options &o)
 {
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--quick") == 0) {
-            opts.quick = true;
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --seed needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.seed)) {
-                std::fprintf(stderr,
-                             "%s: --seed needs a non-negative "
-                             "integer, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --jobs needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseJobs(v, opts.jobs)) {
-                std::fprintf(stderr,
-                             "%s: --jobs needs an integer >= 1, "
-                             "got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--metrics-json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --metrics-json needs a file\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.metricsJson = argv[++i];
-        } else if (std::strcmp(arg, "--policy") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --policy needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parsePolicyName(v, opts.policy)) {
-                std::fprintf(stderr,
-                             "%s: unknown --policy '%s' (expected "
-                             "%s)\n",
-                             argv[0], v, policyUsageNames());
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.policyGiven = true;
-        } else if (std::strcmp(arg, "--itr-ns") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --itr-ns needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.itrNs)) {
-                std::fprintf(stderr,
-                             "%s: --itr-ns needs a non-negative "
-                             "integer, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--offered-load") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --offered-load needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parsePositiveDouble(v, opts.offeredLoad)) {
-                std::fprintf(stderr,
-                             "%s: --offered-load needs a positive "
-                             "number, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--rt-vector") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --rt-vector needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.rtVector) ||
-                opts.rtVector >= 64) {
-                std::fprintf(stderr,
-                             "%s: --rt-vector needs an integer in "
-                             "[0, 63], got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--priority") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --priority needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.rtPriority) ||
-                opts.rtPriority >= kNumPriorityLevels) {
-                std::fprintf(stderr,
-                             "%s: --priority needs an integer in "
-                             "[0, %u], got '%s'\n",
-                             argv[0], kNumPriorityLevels - 1, v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--counter-stride") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --counter-stride needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.counterStride)) {
-                std::fprintf(stderr,
-                             "%s: --counter-stride needs a "
-                             "non-negative integer, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--ff") == 0) {
-            opts.ff = true;
-        } else if (std::strcmp(arg, "--detail-window") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --detail-window needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.detailWindow) ||
-                opts.detailWindow == 0) {
-                std::fprintf(stderr,
-                             "%s: --detail-window needs an integer "
-                             ">= 1, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --checkpoint-every needs a "
-                             "value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseU64Strict(v, opts.checkpointEvery) ||
-                opts.checkpointEvery == 0) {
-                std::fprintf(stderr,
-                             "%s: --checkpoint-every needs an "
-                             "integer >= 1, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--restore") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --restore needs a file\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.restorePath = argv[++i];
-        } else if (std::strcmp(arg, "--version") == 0) {
-            std::printf("%s %s (%s), snapshot format %u\n", argv[0],
-                        ckpt::kBuildGitSha, ckpt::kBuildType,
-                        static_cast<unsigned>(ckpt::kFormatVersion));
-            std::exit(0);
-        } else if (std::strcmp(arg, "--tax") == 0) {
-            opts.tax = true;
-        } else if (std::strcmp(arg, "--trace-json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --trace-json needs a file\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.traceJson = argv[++i];
-        } else if (std::strcmp(arg, "--help") == 0) {
-            printUsage(stdout, argv[0]);
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n",
-                         argv[0], arg);
-            printUsage(stderr, argv[0]);
-            std::exit(2);
-        }
-    }
-    return opts;
+    f.file("--metrics-json", "write a metrics snapshot", o.metricsJson)
+        .file("--trace-json", "write a Perfetto-loadable Chrome trace",
+              o.traceJson);
+}
+
+/**
+ * declareExports() plus `--counter-stride` / `--tax`: benches whose
+ * obs run goes through runObsScenario() / applyProfileFlags().
+ */
+inline void
+declareObs(exec::FlagSet &f, Options &o)
+{
+    declareExports(f, o);
+    f.uint("--counter-stride", "N",
+           "sample counter tracks every N cycles (into --trace-json)",
+           o.counterStride)
+        .flag("--tax", "attribute interrupt-tax stall cycles (core.tax.*)",
+              o.tax);
+}
+
+/**
+ * `--policy NAME`, limited to `names` ("a|b|..."), each a name
+ * parsePolicyName() accepts: the frontier then runs only that
+ * policy instead of the full panel.
+ */
+inline void
+declarePolicy(exec::FlagSet &f, Options &o, const char *names)
+{
+    f.custom("--policy", names,
+             "run the --offered-load frontier under one policy",
+             [&o, names](const char *v) {
+                 std::string all = std::string("|") + names + "|";
+                 if (all.find(std::string("|") + v + "|") ==
+                         std::string::npos ||
+                     !parsePolicyName(v, o.policy))
+                     return std::string("unknown --policy '") + v +
+                            "' (expected " + names + ")";
+                 o.policyGiven = true;
+                 return std::string();
+             });
+}
+
+/** `--offered-load X`: run the saturation frontier up to X. */
+inline void
+declareOfferedLoad(exec::FlagSet &f, Options &o)
+{
+    f.positive("--offered-load", "X",
+               "load multiplier over saturation for the frontier",
+               o.offeredLoad);
+}
+
+/** `--itr-ns N`: the moderation rate limit. */
+inline void
+declareItrNs(exec::FlagSet &f, Options &o)
+{
+    f.uint("--itr-ns", "N",
+           "ITR moderation interval in ns (0 = the 1000 ns default)",
+           o.itrNs);
+}
+
+/** `--rt-vector V` / `--priority P`: the co-tenancy section. */
+inline void
+declareRtVector(exec::FlagSet &f, Options &o)
+{
+    f.uint("--rt-vector", "V",
+           "run the co-tenancy section with RT vector V", o.rtVector,
+           0, 63)
+        .uint("--priority", "P", "the RT vector's priority level",
+              o.rtPriority, 0, kNumPriorityLevels - 1);
 }
 
 inline void

@@ -157,7 +157,12 @@ squashLinearity(bool quick, unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    flags.jobs(opts.jobs);
+    flags.parse(argc, argv);
     bench::banner("Figure 2: UIPI latency timeline",
                   "xUI paper, Fig. 2 + Section 3.5 deconstruction");
 

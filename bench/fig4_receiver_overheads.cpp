@@ -100,7 +100,11 @@ runOne(const std::function<Program()> &make, const Mechanism &mech,
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareExports(flags, opts);
+    flags.parse(argc, argv);
     bench::banner("Figure 4: Reducing receiver overheads",
                   "xUI paper, Fig. 4 (fib/linpack/memops, periodic "
                   "interrupts)");

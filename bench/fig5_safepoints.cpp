@@ -78,7 +78,11 @@ runCase(const std::function<Program(const KernelOptions &)> &make,
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    flags.parse(argc, argv);
     bench::banner(
         "Figure 5: Preemption with hardware safepoints",
         "xUI paper, Fig. 5 (matmul/base64; polling vs UIPI vs xUI "

@@ -23,7 +23,12 @@ using namespace xui;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    flags.jobs(opts.jobs);
+    flags.parse(argc, argv);
     bench::banner("Figure 6: The cost of a timer",
                   "xUI paper, Fig. 6 (timer-core CPU use vs app "
                   "cores x interval)");

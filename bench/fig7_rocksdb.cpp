@@ -108,7 +108,13 @@ runOverloadFrontier(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    bench::declareOfferedLoad(flags, opts);
+    bench::declarePolicy(flags, opts, "off|adaptive");
+    flags.parse(argc, argv);
     if (opts.offeredLoad > 0.0)
         return runOverloadFrontier(opts);
     bench::banner(

@@ -155,7 +155,18 @@ runOverloadFrontier(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    flags.jobs(opts.jobs);
+    bench::declareOfferedLoad(flags, opts);
+    bench::declareItrNs(flags, opts);
+    bench::declarePolicy(flags, opts,
+                         "off|next_only_edge|next_only_level|"
+                         "next_or_missed_edge|next_or_missed_level|"
+                         "moderated");
+    flags.parse(argc, argv);
     if (opts.offeredLoad > 0.0)
         return runOverloadFrontier(opts);
     bench::banner("Figure 8: Improving l3fwd efficiency",

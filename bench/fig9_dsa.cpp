@@ -19,7 +19,11 @@ using namespace xui;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    flags.parse(argc, argv);
     bench::banner(
         "Figure 9: Optimizing latency and efficiency of DSA "
         "response delivery",

@@ -221,7 +221,12 @@ runCoTenancy(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareObs(flags, opts);
+    bench::declareRtVector(flags, opts);
+    flags.parse(argc, argv);
     if (opts.rtVector != 256) {
         bench::banner(
             "Mixed-criticality co-tenancy: checked worst-case "

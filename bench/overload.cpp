@@ -105,7 +105,12 @@ writeJson(const char *path, const std::vector<L3Point> &l3,
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    bench::declareItrNs(flags, opts);
+    bench::declareOfferedLoad(flags, opts);
+    flags.parse(argc, argv);
     bench::banner(
         "Overload survival reference (BENCH_overload.json)",
         "delivery policies, ITR moderation, adaptive quantum past "

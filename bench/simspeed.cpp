@@ -30,16 +30,16 @@
  *                program + digest instrumentation).
  *
  * Emits BENCH_simspeed.json (cwd) with per-scenario rates (plus
- * `ff_*` fields and `peak_rss_kb` per scenario) and the speedup
- * against the pre-optimization baseline recorded below.
+ * `ff_*` fields and `peak_rss_kb` per scenario); the committed copy
+ * at the repo root is the reference CI's perf guard diffs against.
  *
  * A second, parallel-scaling section sweeps a corpus of fuzz
  * scenarios through the src/exec engine at a worker-thread ladder
  * (1/2/4/8, or powers of two up to `--jobs N`), cross-checks that
  * the combined digests are bit-identical at every rung, and emits
  * BENCH_parallel.json with sims/sec and speedup-vs-serial. The
- * canonical four scenarios above stay serial so their wall-clock
- * rates remain comparable against kBaseline.
+ * canonical scenarios above stay serial so their wall-clock rates
+ * remain comparable against the committed reference.
  *
  * `--checkpoint-every N` / `--restore FILE` switch to a dedicated
  * checkpoint/restore mode on the fuzz scenario: snapshot cost per
@@ -56,6 +56,7 @@
 
 #include "bench_util.hh"
 #include "ckpt/codec.hh"
+#include "ckpt/snapshot.hh"
 #include "exec/sweep.hh"
 #include "des/simulation.hh"
 #include "net/l3fwd.hh"
@@ -73,41 +74,6 @@ using namespace xui;
 
 namespace
 {
-
-/**
- * Pre-optimization rates, captured on the reference container at
- * the commit immediately before the hot-path overhaul (same
- * scenarios, full mode, RelWithDebInfo). `speedup_vs_baseline` in
- * the JSON is measured against these.
- */
-struct BaselineRate
-{
-    const char *name;
-    double cyclesPerSec;
-    double eventsPerSec;
-};
-
-constexpr BaselineRate kBaseline[] = {
-    {"fig2", 2912915.0, 17044.0},
-    // timer_core / l3fwd are the uarch-tier fast-forward pairs; the
-    // baseline is their full-detail rate when the pair was added, so
-    // speedup_vs_baseline tracks the detailed path and the sampled
-    // gain is reported separately (ff_speedup_vs_detail).
-    {"timer_core", 4770959.0, 5379173.0},
-    {"l3fwd", 2548408.0, 6020061.0},
-    {"timer_core_des", 42924291.0, 3490015.0},
-    {"l3fwd_des", 550843927.0, 2883792.0},
-    {"fuzz", 899235.0, 6644826.0},
-};
-
-double
-baselineCyclesPerSec(const std::string &name)
-{
-    for (const auto &b : kBaseline)
-        if (name == b.name)
-            return b.cyclesPerSec;
-    return 0.0;
-}
 
 struct SpeedResult
 {
@@ -654,20 +620,15 @@ writeJson(const char *path, const std::vector<SpeedResult> &results,
     std::fprintf(f, "  \"scenarios\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SpeedResult &r = results[i];
-        double base = baselineCyclesPerSec(r.name);
-        double speedup =
-            base > 0.0 ? r.cyclesPerSec() / base : 0.0;
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"sim_cycles\": %.0f, "
                      "\"events\": %.0f, \"wall_seconds\": %.6f,\n"
                      "     \"cycles_per_sec\": %.0f, "
                      "\"events_per_sec\": %.0f,\n"
-                     "     \"baseline_cycles_per_sec\": %.0f, "
-                     "\"speedup_vs_baseline\": %.2f,\n"
                      "     \"peak_rss_kb\": %ld",
                      r.name.c_str(), r.simCycles, r.events,
                      r.wallSec, r.cyclesPerSec(), r.eventsPerSec(),
-                     base, speedup, r.peakRssKb);
+                     r.peakRssKb);
         if (r.hasFf) {
             std::fprintf(
                 f,
@@ -840,7 +801,24 @@ runCheckpointMode(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv);
+    bench::Options opts;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, opts);
+    flags.jobs(opts.jobs)
+        .flag("--ff",
+              "also run fig2's sampled pass and gate its accuracy",
+              opts.ff)
+        .uint("--detail-window", "N",
+              "full-detail cycles around each interrupt event in "
+              "sampled passes",
+              opts.detailWindow, 1)
+        .uint("--checkpoint-every", "N",
+              "checkpoint mode: snapshot the fuzz run every N cycles",
+              opts.checkpointEvery, 1)
+        .file("--restore",
+              "checkpoint mode: resume the fuzz run from a snapshot",
+              opts.restorePath);
+    flags.parse(argc, argv);
     bench::banner("simspeed — simulator throughput across canonical "
                   "scenarios",
                   "infrastructure (no paper figure): cycles/sec + "
@@ -848,7 +826,7 @@ main(int argc, char **argv)
 
     // Checkpoint/restore is its own mode (like a figure section):
     // the canonical scenarios stay serial and uncheckpointed so
-    // their rates remain comparable against kBaseline.
+    // their rates remain comparable against the committed reference.
     if (opts.checkpointEvery != 0 || !opts.restorePath.empty())
         return runCheckpointMode(opts);
 
@@ -860,16 +838,13 @@ main(int argc, char **argv)
     results.push_back(runL3FwdDes(opts.quick, opts.seed));
     results.push_back(runFuzz(opts.quick, opts.seed));
 
-    std::printf("%-14s %14s %14s %10s %14s %14s %9s\n", "scenario",
+    std::printf("%-14s %14s %14s %10s %14s %14s\n", "scenario",
                 "sim cycles", "events", "wall s", "cycles/s",
-                "events/s", "speedup");
-    for (const SpeedResult &r : results) {
-        double base = baselineCyclesPerSec(r.name);
-        std::printf("%-14s %14.0f %14.0f %10.3f %14.0f %14.0f %8.2fx\n",
+                "events/s");
+    for (const SpeedResult &r : results)
+        std::printf("%-14s %14.0f %14.0f %10.3f %14.0f %14.0f\n",
                     r.name.c_str(), r.simCycles, r.events, r.wallSec,
-                    r.cyclesPerSec(), r.eventsPerSec(),
-                    base > 0.0 ? r.cyclesPerSec() / base : 0.0);
-    }
+                    r.cyclesPerSec(), r.eventsPerSec());
 
     // Sampled-detail comparison table + gates. Accuracy deltas are
     // simulated quantities (deterministic per seed); the speedup is

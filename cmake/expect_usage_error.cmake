@@ -1,6 +1,7 @@
 # CTest helper: run TOOL with ARGS (one space-separated string) and
 # require a usage error — exit status 2 and a "usage:" line on
-# stderr. Registered by tools/CMakeLists.txt for malformed flags.
+# stderr. Registered by tools/ and bench/CMakeLists.txt for malformed
+# and undeclared flags.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${TOOL} ${args}
                 RESULT_VARIABLE rc

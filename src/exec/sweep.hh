@@ -53,29 +53,6 @@ unsigned hardwareJobs();
 unsigned effectiveJobs(unsigned requested);
 
 /**
- * Strict unsigned decimal, the one numeric-flag parser of every
- * bench and tool: a non-empty all-digit value that fits in 64 bits.
- * Rejects signs, whitespace, suffixes, and overflow.
- * @return false on malformed input (`out` untouched).
- */
-bool parseU64Strict(const char *text, std::uint64_t &out);
-
-/**
- * Strict positive double: the whole text parses, the value is
- * finite and in (0, 1e12).
- * @return false on malformed input (`out` untouched).
- */
-bool parsePositiveDouble(const char *text, double &out);
-
-/**
- * Strict `--jobs N` parsing: accepts only a non-empty all-digit
- * value in [1, 1024]. Rejects 0 (use auto-detection by omitting the
- * flag instead), signs, suffixes, and overflow.
- * @return false on malformed input (`out` untouched).
- */
-bool parseJobs(const char *text, unsigned &jobs);
-
-/**
  * Run `n` independent jobs on up to `jobs` threads and reduce the
  * results in job-index order on the calling thread (see file
  * comment for the determinism contract). An exception thrown by a

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
+#include "exec/flags.hh"
 #include "obs/json_parse.hh"
 
 namespace xui
@@ -141,112 +139,33 @@ perfDiff(const std::map<std::string, double> &base,
     return result;
 }
 
-namespace
-{
-
-void
-usage(std::FILE *out, const char *prog)
-{
-    std::fprintf(
-        out,
-        "usage: %s BASELINE.json CURRENT.json [options]\n"
-        "  --tol PCT           default tolerance in percent "
-        "(default 0 = exact)\n"
-        "  --rule PATTERN=SPEC per-metric tolerance; SPEC is PCT, "
-        "+PCT (only\n"
-        "                      increases fail), -PCT (only "
-        "decreases fail), or\n"
-        "                      skip. '*' wildcards; first matching "
-        "rule wins.\n"
-        "  --list              print every compared metric\n"
-        "  --version           print build provenance and exit\n"
-        "exit status: 0 within tolerance, 1 regressions, 2 usage "
-        "or parse error\n",
-        prog);
-}
-
-} // namespace
-
 int
 perfdiffMain(int argc, char **argv)
 {
-    const char *prog = argc > 0 ? argv[0] : "xui_perfdiff";
     std::string basePath, curPath;
     PerfDiffOptions opts;
     bool list = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--tol") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --tol needs a value\n",
-                             prog);
-                usage(stderr, prog);
-                return 2;
-            }
-            const char *v = argv[++i];
-            errno = 0;
-            char *end = nullptr;
-            double pct = std::strtod(v, &end);
-            if (errno != 0 || end == v || *end != '\0' ||
-                !std::isfinite(pct) || pct < 0.0) {
-                std::fprintf(stderr,
-                             "%s: --tol needs a non-negative "
-                             "percent, got '%s'\n",
-                             prog, v);
-                usage(stderr, prog);
-                return 2;
-            }
-            opts.defaultTolPct = pct;
-        } else if (std::strcmp(arg, "--rule") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --rule needs a value\n",
-                             prog);
-                usage(stderr, prog);
-                return 2;
-            }
-            const char *v = argv[++i];
-            TolRule rule;
-            if (!parseTolRule(v, rule)) {
-                std::fprintf(stderr,
-                             "%s: malformed --rule '%s' (expected "
-                             "PATTERN=PCT|+PCT|-PCT|skip)\n",
-                             prog, v);
-                usage(stderr, prog);
-                return 2;
-            }
-            opts.rules.push_back(rule);
-        } else if (std::strcmp(arg, "--list") == 0) {
-            list = true;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            usage(stdout, prog);
-            return 0;
-        } else if (std::strcmp(arg, "--version") == 0) {
-            std::printf("%s %s (%s), snapshot format %u\n", prog,
-                        ckpt::kBuildGitSha, ckpt::kBuildType,
-                        static_cast<unsigned>(ckpt::kFormatVersion));
-            return 0;
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n",
-                         prog, arg);
-            usage(stderr, prog);
-            return 2;
-        } else if (basePath.empty()) {
-            basePath = arg;
-        } else if (curPath.empty()) {
-            curPath = arg;
-        } else {
-            std::fprintf(stderr, "%s: too many positionals\n",
-                         prog);
-            usage(stderr, prog);
-            return 2;
-        }
-    }
-    if (basePath.empty() || curPath.empty()) {
-        std::fprintf(stderr,
-                     "%s: need BASELINE and CURRENT files\n", prog);
-        usage(stderr, prog);
-        return 2;
-    }
+    exec::FlagSet flags;
+    flags.positional("BASELINE.json", basePath)
+        .positional("CURRENT.json", curPath)
+        .nonNegative("--tol", "PCT",
+                     "default tolerance in percent (default 0 = exact)",
+                     opts.defaultTolPct)
+        .custom("--rule", "PATTERN=SPEC",
+                "per-metric tolerance, SPEC = PCT|+PCT|-PCT|skip "
+                "(first match wins)",
+                [&opts](const char *v) {
+                    TolRule rule;
+                    if (!parseTolRule(v, rule))
+                        return std::string("malformed --rule '") + v +
+                               "' (expected PATTERN=PCT|+PCT|-PCT|"
+                               "skip)";
+                    opts.rules.push_back(rule);
+                    return std::string();
+                })
+        .flag("--list", "print every compared metric", list);
+    flags.parse(argc, argv);
+    const char *prog = argv[0];
 
     JsonValue baseDoc, curDoc;
     std::string error;

@@ -88,8 +88,9 @@ PerfDiffResult perfDiff(const std::map<std::string, double> &base,
 
 /**
  * Full CLI (argv[0] is the program name): parses flags, loads both
- * files, prints the report.
- * @return 0 clean, 1 regressions found, 2 usage/parse error
+ * files, prints the report. A usage error exits 2 (exec::FlagSet).
+ * @return 0 clean, 1 regressions found, 2 unreadable or malformed
+ *         JSON
  */
 int perfdiffMain(int argc, char **argv);
 

@@ -14,12 +14,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/flags.hh"
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "verify/corpus.hh"
@@ -240,6 +242,39 @@ TEST(ParseJobs, RejectsMalformedValues)
     EXPECT_FALSE(exec::parseJobs("1025", jobs));
     EXPECT_FALSE(exec::parseJobs("99999999999999999999", jobs));
     EXPECT_EQ(jobs, 99u) << "failed parse must not touch the out";
+}
+
+// ----------------------------------------------------------------------
+// FlagSet: a binary accepts exactly the flags it declares
+// ----------------------------------------------------------------------
+
+TEST(FlagSetDeathTest, UsageListsOnlyDeclaredFlags)
+{
+    bool quick = false;
+    std::uint64_t seed = 1;
+    exec::FlagSet flags;
+    flags.flag("--quick", "shorter runs", quick)
+        .uint("--seed", "N", "base RNG seed", seed);
+
+    // Every "--name" token of the usage: the two declared flags plus
+    // the two built-ins, nothing else.
+    std::string usage = flags.usage("bench");
+    std::vector<std::string> listed;
+    for (std::size_t at = usage.find("--"); at != std::string::npos;
+         at = usage.find("--", at + 2)) {
+        std::size_t end = usage.find_first_of(" ,\n", at);
+        listed.push_back(usage.substr(at, end - at));
+    }
+    EXPECT_EQ(listed, (std::vector<std::string>{"--quick", "--seed",
+                                                "--help", "--version"}))
+        << usage;
+
+    std::string undeclared = "--jobs";
+    std::string value = "4";
+    char prog[] = "bench";
+    char *argv[] = {prog, undeclared.data(), value.data()};
+    EXPECT_EXIT(flags.parse(3, argv), ::testing::ExitedWithCode(2),
+                "unknown argument '--jobs'");
 }
 
 TEST(EffectiveJobs, AutoIsHardwareAndExplicitPassesThrough)

@@ -423,6 +423,7 @@ TEST(TraceExport, WriterCapsAndCountsDrops)
 namespace
 {
 
+/** The union of the shared bench flag declarations. */
 bench::Options
 parse(std::vector<std::string> argv_strings)
 {
@@ -430,8 +431,19 @@ parse(std::vector<std::string> argv_strings)
     argv.push_back(const_cast<char *>("bench"));
     for (std::string &s : argv_strings)
         argv.push_back(s.data());
-    return bench::parseArgs(static_cast<int>(argv.size()),
-                            argv.data());
+    bench::Options o;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, o);
+    bench::declareObs(flags, o);
+    flags.jobs(o.jobs);
+    bench::declareOfferedLoad(flags, o);
+    bench::declareItrNs(flags, o);
+    bench::declarePolicy(flags, o,
+                         "off|next_only_edge|next_only_level|"
+                         "next_or_missed_edge|next_or_missed_level|"
+                         "moderated|adaptive");
+    flags.parse(static_cast<int>(argv.size()), argv.data());
+    return o;
 }
 
 } // namespace

@@ -712,8 +712,13 @@ parse(std::vector<std::string> argv_strings)
     argv.push_back(const_cast<char *>("bench"));
     for (std::string &s : argv_strings)
         argv.push_back(s.data());
-    return bench::parseArgs(static_cast<int>(argv.size()),
-                            argv.data());
+    bench::Options o;
+    exec::FlagSet flags;
+    bench::declareQuickSeed(flags, o);
+    bench::declareObs(flags, o);
+    bench::declareRtVector(flags, o);
+    flags.parse(static_cast<int>(argv.size()), argv.data());
+    return o;
 }
 
 } // namespace

@@ -19,7 +19,6 @@
  * The gate fails (exit 1) when the median attached slowdown exceeds
  * 2% — the budget CI grants the whole observation layer.
  *
- * Usage: bench_obs_overhead [--quick] [--trials N] [--version]
  * A malformed or zero --trials exits 2 with usage.
  */
 
@@ -27,12 +26,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
+#include "exec/flags.hh"
 #include "obs/sampler.hh"
 #include "verify/scenario_run.hh"
 
@@ -79,29 +75,11 @@ main(int argc, char **argv)
 {
     bool quick = false;
     std::uint64_t trials = 5;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--trials") == 0 &&
-                   i + 1 < argc &&
-                   xui::exec::parseU64Strict(argv[i + 1], trials) &&
-                   trials > 0) {
-            ++i;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
-            std::printf("%s %s (%s), snapshot format %u\n",
-                        argv[0], xui::ckpt::kBuildGitSha,
-                        xui::ckpt::kBuildType,
-                        static_cast<unsigned>(
-                            xui::ckpt::kFormatVersion));
-            return 0;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--trials N] "
-                         "[--version]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    xui::exec::FlagSet flags;
+    flags.flag("--quick", "shorter scenario (the CI smoke size)", quick)
+        .uint("--trials", "N", "interleaved A/B trials (default 5)",
+              trials, 1);
+    flags.parse(argc, argv);
 
     xui::ScenarioConfig cfg;
     cfg.programSeed = 7;

@@ -33,32 +33,23 @@
  * newest valid generation and the resumed run must match the
  * crash-free one bit for bit.
  *
- * Usage:
- *   xui_chaos [--scenario NAME|all] [--seeds N] [--seed-base S]
- *             [--jobs N] [--directives N] [--horizon CYCLES]
- *             [--budget EVENTS] [--no-recovery] [--no-shrink]
- *             [--checkpoint-every N] [--ckpt-dir DIR]
- *             [--out-dir DIR] [--quiet] [--list] [--version]
- *   xui_chaos --replay --scenario NAME --seed S --schedule TEXT
- *             [--checkpoint-every N] [--crash-at K]
- *             [--ckpt-dir DIR] [--restore FILE]
- *
- * A malformed numeric value (sign, non-digit, trailing junk, or 0
- * for a count where zero means an empty run) exits 2 with usage.
+ * Grid mode runs by default; `--replay --scenario NAME --seed S
+ * --schedule TEXT` replays one cell (`--crash-at` and `--restore`
+ * are replay-only). A malformed numeric value (sign, non-digit,
+ * trailing junk, or 0 for a count where zero means an empty run)
+ * exits 2 with usage; `--help` lists every flag.
  */
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "ckpt/build_info.hh"
 #include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
+#include "exec/flags.hh"
 #include "fault/chaos.hh"
 #include "fault/fault.hh"
 
@@ -76,8 +67,8 @@ struct Options
     unsigned directives = 8;
     Cycles horizon = 200000;
     std::uint64_t budget = 2000000;
-    bool recovery = true;
-    bool shrinkFailures = true;
+    bool noRecovery = false;
+    bool noShrink = false;
     bool quiet = false;
     bool list = false;
     bool replay = false;
@@ -90,147 +81,6 @@ struct Options
     std::string restorePath;
 };
 
-void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--scenario NAME|all] [--seeds N] [--seed-base S]\n"
-        << "       [--jobs N] [--directives N] [--horizon CYCLES]\n"
-        << "       [--budget EVENTS] [--no-recovery] [--no-shrink]\n"
-        << "       [--checkpoint-every N] [--ckpt-dir DIR]\n"
-        << "       [--out-dir DIR] [--quiet] [--list] [--version]\n"
-        << "       " << argv0
-        << " --replay --scenario NAME --seed S --schedule TEXT\n"
-        << "       [--checkpoint-every N] [--crash-at K]\n"
-        << "       [--ckpt-dir DIR] [--restore FILE]\n";
-}
-
-/**
- * Strict numeric flag value: digits only, fits `out`, and at least
- * `min` (1 where zero would mean an empty run). Reports and returns
- * false on anything else.
- */
-template <typename T>
-bool
-numericFlag(const char *flag, const char *v, T &out, std::uint64_t min)
-{
-    std::uint64_t x = 0;
-    if (!exec::parseU64Strict(v, x) || x < min ||
-        x > std::numeric_limits<T>::max()) {
-        std::cerr << flag << " needs an integer >= " << min
-                  << ", got '" << v << "'\n";
-        return false;
-    }
-    out = static_cast<T>(x);
-    return true;
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--scenario") == 0) {
-            const char *v = need("--scenario");
-            if (!v)
-                return false;
-            opt.scenario = v;
-        } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            const char *v = need("--seeds");
-            if (!v || !numericFlag("--seeds", v, opt.seeds, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--seed-base") == 0) {
-            const char *v = need("--seed-base");
-            if (!v || !numericFlag("--seed-base", v, opt.seedBase, 0))
-                return false;
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            const char *v = need("--seed");
-            if (!v || !numericFlag("--seed", v, opt.seed, 0))
-                return false;
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            const char *v = need("--jobs");
-            if (!v)
-                return false;
-            if (!exec::parseJobs(v, opt.jobs)) {
-                std::cerr << "--jobs needs an integer >= 1, got '"
-                          << v << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--directives") == 0) {
-            const char *v = need("--directives");
-            if (!v || !numericFlag("--directives", v, opt.directives, 0))
-                return false;
-        } else if (std::strcmp(argv[i], "--horizon") == 0) {
-            const char *v = need("--horizon");
-            if (!v || !numericFlag("--horizon", v, opt.horizon, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--budget") == 0) {
-            const char *v = need("--budget");
-            if (!v || !numericFlag("--budget", v, opt.budget, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--no-recovery") == 0) {
-            opt.recovery = false;
-        } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
-            opt.shrinkFailures = false;
-        } else if (std::strcmp(argv[i], "--schedule") == 0) {
-            const char *v = need("--schedule");
-            if (!v)
-                return false;
-            opt.schedule = v;
-        } else if (std::strcmp(argv[i], "--out-dir") == 0) {
-            const char *v = need("--out-dir");
-            if (!v)
-                return false;
-            opt.outDir = v;
-        } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-            const char *v = need("--checkpoint-every");
-            if (!v || !numericFlag("--checkpoint-every", v,
-                                   opt.checkpointEvery, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--crash-at") == 0) {
-            const char *v = need("--crash-at");
-            if (!v || !numericFlag("--crash-at", v, opt.crashAt, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--ckpt-dir") == 0) {
-            const char *v = need("--ckpt-dir");
-            if (!v)
-                return false;
-            opt.ckptDir = v;
-        } else if (std::strcmp(argv[i], "--restore") == 0) {
-            const char *v = need("--restore");
-            if (!v)
-                return false;
-            opt.restorePath = v;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
-            std::cout << "xui_chaos " << ckpt::kBuildGitSha << " ("
-                      << ckpt::kBuildType << "), snapshot format "
-                      << ckpt::kFormatVersion << '\n';
-            std::exit(0);
-        } else if (std::strcmp(argv[i], "--replay") == 0) {
-            opt.replay = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opt.quiet = true;
-        } else if (std::strcmp(argv[i], "--list") == 0) {
-            opt.list = true;
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(argv[0]);
-            std::exit(0);
-        } else {
-            std::cerr << "unknown flag: " << argv[i] << '\n';
-            return false;
-        }
-    }
-    return true;
-}
-
 std::string
 replayCommand(const chaos::CellReport &rep, const Options &opt)
 {
@@ -238,7 +88,7 @@ replayCommand(const chaos::CellReport &rep, const Options &opt)
     cmd += chaos::scenarioName(rep.kind);
     cmd += " --seed " + std::to_string(rep.seed);
     cmd += " --schedule \"" + rep.shrunk.encode() + "\"";
-    if (!opt.recovery)
+    if (opt.noRecovery)
         cmd += " --no-recovery";
     if (opt.horizon != 200000)
         cmd += " --horizon " + std::to_string(opt.horizon);
@@ -293,8 +143,8 @@ runReplay(const Options &opt)
         return 2;
     }
     cc.seed = opt.seed;
-    cc.recovery = opt.recovery;
-    cc.finalDrain = opt.recovery;
+    cc.recovery = !opt.noRecovery;
+    cc.finalDrain = !opt.noRecovery;
     cc.horizon = opt.horizon;
     cc.eventBudget = opt.budget;
     cc.ckptEvery = opt.checkpointEvery;
@@ -344,9 +194,9 @@ runGridMain(const Options &opt)
     gc.seedBase = opt.seedBase;
     gc.jobs = opt.jobs;
     gc.schedule.directives = opt.directives;
-    gc.recovery = opt.recovery;
-    gc.finalDrain = opt.recovery;
-    gc.shrinkFailures = opt.shrinkFailures;
+    gc.recovery = !opt.noRecovery;
+    gc.finalDrain = !opt.noRecovery;
+    gc.shrinkFailures = !opt.noShrink;
     gc.horizon = opt.horizon;
     gc.eventBudget = opt.budget;
     gc.ckptDir = opt.ckptDir;
@@ -421,10 +271,42 @@ main(int argc, char **argv)
     // Usage errors exit 2, matching the bench convention, so CI can
     // tell "bad invocation" apart from "cells failed" (also 2 — both
     // mean the run produced no trustworthy result).
-    if (!parseArgs(argc, argv, opt)) {
-        usage(argv[0]);
-        return 2;
-    }
+    exec::FlagSet flags;
+    flags.text("--scenario", "NAME|all", "scenario to run (see --list)",
+               opt.scenario)
+        .uint("--seeds", "N", "fault seeds per scenario", opt.seeds, 1)
+        .uint("--seed-base", "S", "first fault seed", opt.seedBase)
+        .jobs(opt.jobs)
+        .uint("--directives", "N", "fault directives per schedule",
+              opt.directives)
+        .uint("--horizon", "CYCLES", "simulated horizon per cell",
+              opt.horizon, 1)
+        .uint("--budget", "EVENTS", "watchdog event budget per cell",
+              opt.budget, 1)
+        .flag("--no-recovery",
+              "disable graceful degradation and the final drain",
+              opt.noRecovery)
+        .flag("--no-shrink", "report failing schedules unshrunk",
+              opt.noShrink)
+        .uint("--checkpoint-every", "N",
+              "snapshot each cell every N fired events",
+              opt.checkpointEvery, 1)
+        .text("--ckpt-dir", "DIR", "keep snapshots on disk in DIR",
+              opt.ckptDir)
+        .text("--out-dir", "DIR", "write one .repro file per failure",
+              opt.outDir)
+        .flag("--quiet", "print only failures", opt.quiet)
+        .flag("--list", "list the scenario names and exit", opt.list)
+        .flag("--replay", "replay one cell instead of the grid",
+              opt.replay)
+        .uint("--seed", "S", "replay: the cell's fault seed", opt.seed)
+        .text("--schedule", "TEXT", "replay: the fault schedule",
+              opt.schedule)
+        .uint("--crash-at", "K", "replay: simulate a kill after K events",
+              opt.crashAt, 1)
+        .file("--restore", "replay: resume from a snapshot",
+              opt.restorePath);
+    flags.parse(argc, argv);
     if (!opt.restorePath.empty() && !opt.replay) {
         std::cerr << "--restore is a --replay flag (a snapshot "
                      "resumes one cell, not a grid)\n";

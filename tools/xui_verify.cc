@@ -41,29 +41,17 @@
  * provenance stamped into snapshot headers.
  *
  * A malformed numeric value (sign, non-digit, trailing junk, or 0
- * for --programs/--seeds/--insts) exits 2 with usage.
- *
- * Usage:
- *   xui_verify [--programs N] [--seeds K] [--insts M]
- *              [--timer-us U] [--safepoints] [--quiet] [--jobs N]
- *              [--record FILE | --replay FILE]
- *              [--record-seed S]
- *              [--roundtrip] [--snapshot-dir DIR]
- *              [--metrics-json FILE] [--trace-json FILE]
- *              [--version]
+ * for --programs/--seeds/--insts) exits 2 with usage; `--help`
+ * lists every flag.
  */
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
+#include "exec/flags.hh"
 #include "obs/session.hh"
 #include "verify/corpus.hh"
 #include "verify/roundtrip.hh"
@@ -95,132 +83,6 @@ struct Options
     /** `--snapshot-dir DIR`: on-disk snapshots for --roundtrip. */
     std::string snapshotDir;
 };
-
-void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--programs N] [--seeds K] [--insts M] [--timer-us U]\n"
-        << "       [--safepoints] [--quiet] [--jobs N]\n"
-        << "       [--record FILE | --replay FILE] "
-        << "[--record-seed S]\n"
-        << "       [--roundtrip] [--snapshot-dir DIR]\n"
-        << "       [--metrics-json FILE] [--trace-json FILE]\n"
-        << "       [--version]\n";
-}
-
-/**
- * Strict numeric flag value: digits only and at least `min` (1 where
- * zero would mean an empty run). Reports and returns false on
- * anything else.
- */
-bool
-countFlag(const char *flag, const char *v, std::uint64_t &out,
-          std::uint64_t min)
-{
-    std::uint64_t x = 0;
-    if (!exec::parseU64Strict(v, x) || x < min) {
-        std::cerr << flag << " needs an integer >= " << min
-                  << ", got '" << v << "'\n";
-        return false;
-    }
-    out = x;
-    return true;
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--programs") == 0) {
-            const char *v = need("--programs");
-            if (!v || !countFlag("--programs", v, opt.programs, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            const char *v = need("--seeds");
-            if (!v || !countFlag("--seeds", v, opt.seeds, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--insts") == 0) {
-            const char *v = need("--insts");
-            if (!v || !countFlag("--insts", v, opt.insts, 1))
-                return false;
-        } else if (std::strcmp(argv[i], "--timer-us") == 0) {
-            const char *v = need("--timer-us");
-            if (!v)
-                return false;
-            if (!exec::parsePositiveDouble(v, opt.timerUs)) {
-                std::cerr << "--timer-us needs a positive number, got '"
-                          << v << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--safepoints") == 0) {
-            opt.safepoints = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opt.quiet = true;
-        } else if (std::strcmp(argv[i], "--record") == 0) {
-            const char *v = need("--record");
-            if (!v)
-                return false;
-            opt.recordPath = v;
-        } else if (std::strcmp(argv[i], "--replay") == 0) {
-            const char *v = need("--replay");
-            if (!v)
-                return false;
-            opt.replayPath = v;
-        } else if (std::strcmp(argv[i], "--record-seed") == 0) {
-            const char *v = need("--record-seed");
-            if (!v || !countFlag("--record-seed", v, opt.recordSeed, 0))
-                return false;
-        } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-            const char *v = need("--metrics-json");
-            if (!v)
-                return false;
-            opt.metricsJson = v;
-        } else if (std::strcmp(argv[i], "--trace-json") == 0) {
-            const char *v = need("--trace-json");
-            if (!v)
-                return false;
-            opt.traceJson = v;
-        } else if (std::strcmp(argv[i], "--roundtrip") == 0) {
-            opt.roundtrip = true;
-        } else if (std::strcmp(argv[i], "--snapshot-dir") == 0) {
-            const char *v = need("--snapshot-dir");
-            if (!v)
-                return false;
-            opt.snapshotDir = v;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
-            std::cout << "xui_verify " << ckpt::kBuildGitSha << " ("
-                      << ckpt::kBuildType << "), snapshot format "
-                      << ckpt::kFormatVersion << '\n';
-            std::exit(0);
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            const char *v = need("--jobs");
-            if (!v)
-                return false;
-            if (!exec::parseJobs(v, opt.jobs)) {
-                std::cerr << "--jobs needs an integer >= 1, got '"
-                          << v << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(argv[0]);
-            std::exit(0);
-        } else {
-            std::cerr << "unknown flag: " << argv[i] << '\n';
-            return false;
-        }
-    }
-    return true;
-}
 
 ScenarioConfig
 goldenScenario(const Options &opt)
@@ -324,10 +186,37 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt)) {
-        usage(argv[0]);
-        return 2;
-    }
+    exec::FlagSet flags;
+    flags.uint("--programs", "N", "random programs to fuzz",
+               opt.programs, 1)
+        .uint("--seeds", "K", "system seeds per program", opt.seeds, 1)
+        .uint("--insts", "M", "target instructions per scenario",
+              opt.insts, 1)
+        .positive("--timer-us", "U", "KB timer period in us",
+                  opt.timerUs)
+        .flag("--safepoints",
+              "fuzz safepointed programs under safepoint delivery",
+              opt.safepoints)
+        .flag("--quiet", "terse summary, uncapped failure list",
+              opt.quiet)
+        .jobs(opt.jobs)
+        .file("--record", "record one golden scenario's trace",
+              opt.recordPath)
+        .file("--replay", "replay a recorded golden trace",
+              opt.replayPath)
+        .uint("--record-seed", "S", "the golden scenario's seed",
+              opt.recordSeed)
+        .flag("--roundtrip",
+              "golden-corpus checkpoint round-trip sweep",
+              opt.roundtrip)
+        .text("--snapshot-dir", "DIR",
+              "drive --roundtrip through on-disk snapshots",
+              opt.snapshotDir)
+        .file("--metrics-json", "write a metrics snapshot",
+              opt.metricsJson)
+        .file("--trace-json", "write a Perfetto-loadable Chrome trace",
+              opt.traceJson);
+    flags.parse(argc, argv);
 
     if (!opt.recordPath.empty())
         return recordGolden(opt);
