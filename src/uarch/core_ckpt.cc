@@ -19,7 +19,7 @@
  *    the ROB contents and the current cycle.
  * The rebuilt rename table maps registers whose producer already
  * committed to seq 0 where the uninterrupted run keeps the retired
- * seq; both read as "ready now" everywhere (depReady/depBound), so
+ * seq; both read as "ready now" everywhere (depBound), so
  * the divergence is unobservable — the round-trip corpus test is
  * what pins that claim.
  */

@@ -74,12 +74,14 @@ struct CoreParams
     bool safepointMode = false;
 
     /**
-     * Run-to-next-wakeup: runCycles / UarchSystem::run jump over
-     * cycles where the core is provably idle (halted, empty
-     * pipeline, no deliverable interrupt) instead of ticking through
-     * them. Purely a simulator-speed knob — the architectural
-     * timeline is bit-identical either way (the determinism suite
-     * pins digests with the flag both on and off).
+     * Run-to-next-activity: runCycles, runUntilCommitted and
+     * UarchSystem::run jump over every cycle in which no pipeline
+     * stage, interrupt source or probe can act — a halted core, or
+     * one stalled behind cache-missing loads — instead of ticking
+     * through them (OooCore::nextActivityCycle()). Purely a
+     * simulator-speed knob — the architectural timeline is
+     * bit-identical either way (the determinism suite pins digests
+     * and every CoreStats field with the flag both on and off).
      */
     bool tickSkip = true;
 

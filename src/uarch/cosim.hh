@@ -9,8 +9,8 @@
  * the cycle tier in bulk to just short of the next pending DES event
  * (Simulation::nextEventAt), then fires everything due. A core in
  * fast-forward mode gets whole inter-event regions as one
- * ffAdvance() call, and a quiesced core skips them outright; either
- * way the DES tier only runs when it actually has work.
+ * ffAdvance() call, and an idle or stalled core skips them outright;
+ * either way the DES tier only runs when it actually has work.
  *
  * DES callbacks inject work into the cycle tier through the usual
  * entry points (UarchSystem::injectUipi, OooCore::receiveIpi /

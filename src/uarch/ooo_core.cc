@@ -145,6 +145,10 @@ OooCore::tick()
 
     ++cycle_;
     ++stats_.cycles;
+    ++ticks_;
+    const std::uint64_t work_before = stats_.fetchedUops +
+                                      stats_.issuedUops +
+                                      stats_.committedUops;
 
     // Refill per-cycle functional-unit tokens.
     fuTokens_[0] = params_.exec.intAluUnits;
@@ -181,6 +185,9 @@ OooCore::tick()
     dispatchStage();
     checkInterruptAccept();
     fetchStage();
+    lastTickIdle_ = work_before == stats_.fetchedUops +
+                                   stats_.issuedUops +
+                                   stats_.committedUops;
 
     // End-of-tick observation: every lifecycle callback of this
     // cycle has already fired, so the probe sees a consistent
@@ -198,14 +205,6 @@ OooCore::tick()
         maybeEnterFastForward();
 }
 
-bool
-OooCore::quiesced() const
-{
-    return fetchHalted_ && rob_.empty() && fetchBuffer_.empty() &&
-           ucodeQueue_.empty() && !drainWaiting_ &&
-           !awaitRedirect_ && !intr_.busy() && !intr_.canAccept();
-}
-
 Cycles
 OooCore::nextWakeCycle() const
 {
@@ -217,11 +216,82 @@ OooCore::nextWakeCycle() const
     return w;
 }
 
+Cycles
+OooCore::idleHorizon()
+{
+    const Cycles next = cycle_ + 1;
+    // Cheap vetoes first. Fast-forward runs keep their own bulk
+    // path: outside a halt, maybeEnterFastForward() may change
+    // state on any cycle.
+    if (ffMode_ || (params_.fastForward && !fetchHalted_))
+        return next;
+    if (probe_ != nullptr && probe_->liveSpans != 0)
+        return next;  // the probe attributes every live cycle
+    if (intr_.canAccept())
+        return next;
+    if (!rob_.empty() && rob_.front().done)
+        return next;  // the head commits
+    Cycles h = nextWakeCycle();
+    if (frontendStallUntil_ > cycle_)
+        h = std::min(h, frontendStallUntil_);
+    else if (fetchCanAct())
+        return next;
+    if (probe_ != nullptr)
+        h = std::min(h, std::max<Cycles>(probe_->nextSampleAt, next));
+    if (!fetchBuffer_.empty() && !dispatchBlocked(fetchBuffer_.front()))
+        h = std::min(h, std::max(fetchBuffer_.front().readyAt, next));
+    if (h == next)
+        return next;
+
+    // Writebacks: the first non-empty wheel bucket (stale seqs
+    // included — the drain must still run on its cycle), then the
+    // stragglers beyond the wheel's span.
+    const Cycles wheel_end = std::min(h, cycle_ + kWbSpan);
+    for (Cycles c = next; c < wheel_end; ++c) {
+        if (!wbWheel_[c & kWbMask].empty()) {
+            h = c;
+            break;
+        }
+    }
+    for (std::uint64_t seq : farWb_) {
+        std::size_t slot = seq & kRingMask;
+        if (ringSeq_[slot] == seq)
+            h = std::min(h, ringEntry_[slot]->readyAt);
+    }
+    if (h == next)
+        return next;
+
+    // Issue: refresh every waiting entry's bound in age order, so a
+    // producer's fresh bound feeds its consumers in the same pass.
+    for (RobEntry *entry : iqList_) {
+        // A serializing op off the ROB head first waits for the
+        // older ops to commit, and every commit is itself an
+        // activity bounded here.
+        if (entry->uop.cls == OpClass::SerializeMsr &&
+            entry != &rob_.front())
+            continue;
+        entry->notBefore =
+            std::max({entry->notBefore, depBound(entry->dep1),
+                      depBound(entry->dep2)});
+        if (entry->notBefore <= next)
+            return next;
+        h = std::min(h, entry->notBefore);
+    }
+    return h;
+}
+
 void
 OooCore::skipTo(Cycles c)
 {
     assert(c >= cycle_);
-    stats_.cycles += c - cycle_;
+    Cycles n = c - cycle_;
+    stats_.cycles += n;
+    // An unstalled Drain wait on a non-empty pipeline counts every
+    // cycle (fetchStage); a stall ends at or after the horizon, so
+    // it covers either all skipped cycles or none.
+    if (drainWaiting_ && frontendStallUntil_ <= cycle_ &&
+        fetchBuffer_.size() < kFetchBufferCap)
+        stats_.drainWaitCycles += n;
     cycle_ = c;
 }
 
@@ -237,16 +307,12 @@ OooCore::runCycles(Cycles n)
             ffAdvance(end);
             if (cycle_ >= end)
                 break;
-        } else if (params_.tickSkip && quiesced()) {
-            // Idle until the next wake source (or the horizon):
-            // every skipped tick would only have bumped counters.
-            Cycles w = nextWakeCycle();
-            Cycles to = w == kNoWake ? end : std::min(w - 1, end);
-            if (to > cycle_) {
-                skipTo(to);
-                if (cycle_ >= end)
-                    break;
-            }
+        } else if (params_.tickSkip) {
+            // Every tick before the next activity would only have
+            // bumped counters: jump to one cycle short of it.
+            skipTo(std::min(nextActivityCycle() - 1, end));
+            if (cycle_ >= end)
+                break;
         }
         tick();
     }
@@ -256,9 +322,11 @@ Cycles
 OooCore::runUntilCommitted(std::uint64_t insts, Cycles max_cycles)
 {
     Cycles start = cycle_;
+    // Saturate: the default max_cycles (~0) means "no limit".
+    Cycles end = max_cycles > ~start ? ~Cycles(0) : start + max_cycles;
     std::uint64_t target = stats_.committedInsts + insts;
-    while (stats_.committedInsts < target &&
-           cycle_ - start < max_cycles && !halted()) {
+    while (stats_.committedInsts < target && cycle_ < end &&
+           !halted()) {
         if (ffMode_) {
             // Bound the bulk run by the cycles the IPC model
             // expects the remaining instructions to take, so the
@@ -269,6 +337,12 @@ OooCore::runUntilCommitted(std::uint64_t insts, Cycles max_cycles)
             Cycles est = ((rem << 16) / ffIpcQ16_) + 1;
             ffAdvance(cycle_ + std::min(left, est));
             if (stats_.committedInsts >= target)
+                break;
+        } else if (params_.tickSkip) {
+            // A skip commits nothing, so only the cycle limit can
+            // end it.
+            skipTo(std::min(nextActivityCycle() - 1, end));
+            if (cycle_ >= end)
                 break;
         }
         tick();
@@ -285,7 +359,7 @@ OooCore::maybeEnterFastForward()
 {
     // The detail window must have expired, with no interrupt work
     // in any stage of its lifecycle. A halted core is left to the
-    // cheaper quiesced-skip machinery.
+    // cheaper run-to-next-activity skip.
     if (cycle_ < ffDetailUntil_ || fetchHalted_ || intr_.busy() ||
         intr_.pendingAvailable() || drainWaiting_ ||
         restoresInFlight_ != 0) {
@@ -453,7 +527,7 @@ OooCore::ffAdvance(Cycles end)
     }
     while (cycle_ < stop && ffMode_) {
         if (fetchHalted_) {
-            // Nothing left to execute: jump like the quiesced skip.
+            // Nothing left to execute: jump like the tick skip.
             stats_.ffCycles += stop - cycle_;
             stats_.cycles += stop - cycle_;
             cycle_ = stop;
@@ -929,19 +1003,6 @@ OooCore::memAccessLatency(RobEntry &entry)
     return mem_.access(entry.addr);
 }
 
-bool
-OooCore::depReady(std::uint64_t dep) const
-{
-    if (dep == 0)
-        return true;
-    std::size_t slot = dep & kRingMask;
-    // Slot reused by a much younger micro-op: the producer retired
-    // thousands of micro-ops ago, so the value is ready.
-    if (ringSeq_[slot] != dep)
-        return true;
-    return ringReadyAt_[slot] <= cycle_;
-}
-
 Cycles
 OooCore::depBound(std::uint64_t dep) const
 {
@@ -1028,6 +1089,17 @@ OooCore::issueStage()
 // Dispatch (rename + ROB allocation)
 // ---------------------------------------------------------------------
 
+bool
+OooCore::dispatchBlocked(const RobEntry &front) const
+{
+    return rob_.size() >= params_.robSize ||
+           iqCount_ >= params_.iqSize ||
+           (front.uop.cls == OpClass::MemRead &&
+            lqCount_ >= params_.lqSize) ||
+           (front.uop.cls == OpClass::MemWrite &&
+            sqCount_ >= params_.sqSize);
+}
+
 void
 OooCore::dispatchStage()
 {
@@ -1035,17 +1107,7 @@ OooCore::dispatchStage()
         if (fetchBuffer_.empty())
             break;
         RobEntry &front = fetchBuffer_.front();
-        if (front.readyAt > cycle_)
-            break;
-        if (rob_.size() >= params_.robSize)
-            break;
-        if (iqCount_ >= params_.iqSize)
-            break;
-        if (front.uop.cls == OpClass::MemRead &&
-            lqCount_ >= params_.lqSize)
-            break;
-        if (front.uop.cls == OpClass::MemWrite &&
-            sqCount_ >= params_.sqSize)
+        if (front.readyAt > cycle_ || dispatchBlocked(front))
             break;
 
         RobEntry entry = front;
@@ -1307,6 +1369,44 @@ OooCore::evalBranch(const MacroOp &op, std::uint32_t pc)
     return false;
 }
 
+bool
+OooCore::atSafepoint() const
+{
+    return !fetchHalted_ && fetchPc_ < program_->size() &&
+           program_->at(fetchPc_).isSafepoint;
+}
+
+bool
+OooCore::canPreempt() const
+{
+    // Priority preemption boundary: a strictly-higher-priority
+    // pending vector interrupts the running handler — but only once
+    // the running delivery is fully architectural (its jump
+    // committed; in-order commit then guarantees no older branch can
+    // still squash the nested work) and no restore is in flight.
+    return intr_.shouldPreempt() && restoresInFlight_ == 0 &&
+           recordOpen_ && currentRecord_.deliveryCommitAt != 0 &&
+           currentRecord_.uiretCommitAt == 0;
+}
+
+bool
+OooCore::fetchCanAct() const
+{
+    // fetchStage()'s exits, in its order, for an unstalled frontend.
+    if (fetchBuffer_.size() >= kFetchBufferCap)
+        return false;
+    if (drainWaiting_)  // else it only counts a drain-wait cycle
+        return rob_.empty() && fetchBuffer_.empty();
+    if (!ucodeQueue_.empty())
+        return true;
+    if (awaitRedirect_)
+        return false;
+    if (intr_.shouldInject(atSafepoint(), params_.safepointMode) ||
+        canPreempt())
+        return true;
+    return !fetchHalted_ && !ffDrainPending_;
+}
+
 void
 OooCore::fetchStage()
 {
@@ -1343,23 +1443,12 @@ OooCore::fetchStage()
             break;
 
         // Instruction boundary: tracked injection point.
-        bool at_safepoint =
-            !fetchHalted_ && fetchPc_ < program_->size() &&
-            program_->at(fetchPc_).isSafepoint;
-        if (intr_.shouldInject(at_safepoint, params_.safepointMode)) {
+        if (intr_.shouldInject(atSafepoint(), params_.safepointMode)) {
             beginInjection();
             break;
         }
 
-        // Priority preemption boundary: a strictly-higher-priority
-        // pending vector interrupts the running handler — but only
-        // once the running delivery is fully architectural (its
-        // jump committed; in-order commit then guarantees no older
-        // branch can still squash the nested work) and no restore
-        // is in flight.
-        if (intr_.shouldPreempt() && restoresInFlight_ == 0 &&
-            recordOpen_ && currentRecord_.deliveryCommitAt != 0 &&
-            currentRecord_.uiretCommitAt == 0) {
+        if (canPreempt()) {
             beginPreemptInjection();
             break;
         }
@@ -1372,8 +1461,6 @@ OooCore::fetchStage()
         if (ffDrainPending_)
             break;
 
-        std::uint32_t before_stall_pc = fetchPc_;
-        (void)before_stall_pc;
         fetchProgramOp();
         --budget;
         if (frontendStallUntil_ > cycle_)

@@ -157,17 +157,28 @@ class OooCore
                              Cycles max_cycles = ~0ull);
 
     /**
-     * True when a tick would change nothing but the cycle counter:
-     * the pipeline is empty and halted, no microcode or interrupt
-     * work is in flight, and no interrupt can be accepted. The
-     * run-to-next-wakeup loops skip such cycles in one jump.
+     * Run-to-next-activity horizon: the first future cycle at which
+     * a tick can do more than bump the counters skipTo() absorbs,
+     * i.e. at which a pipeline stage, a wake source or the probe can
+     * act (the terms are listed in DESIGN.md, "Run-to-next-activity");
+     * kNoWake when nothing can ever happen. Its IQ pass refreshes
+     * every waiting entry's notBefore in age order, raising one valid
+     * lower bound to another, so issue decisions are unchanged.
+     *
+     * Gate: after a tick that fetched, issued or committed something
+     * the answer is now() + 1 without looking, so a busy core pays
+     * one branch per tick.
      */
-    bool quiesced() const;
+    Cycles
+    nextActivityCycle()
+    {
+        return lastTickIdle_ ? idleHorizon() : cycle_ + 1;
+    }
 
     /**
-     * Earliest future cycle at which a quiesced core can become
-     * active again (KB-timer deadline or in-flight IPI arrival);
-     * kNoWake when nothing is scheduled.
+     * Earliest future cycle at which an external wake source fires
+     * (KB-timer deadline or in-flight IPI arrival); kNoWake when
+     * nothing is scheduled.
      */
     Cycles nextWakeCycle() const;
 
@@ -175,11 +186,21 @@ class OooCore
     static constexpr Cycles kNoWake = ~Cycles(0);
 
     /**
-     * Jump the clock of a quiesced core forward to `c` without
-     * ticking the pipeline.
-     * @pre quiesced() and c < nextWakeCycle()
+     * Jump the clock forward to `c` without ticking the pipeline,
+     * adding what the skipped ticks would have counted (cycles, and
+     * drain-wait cycles while a Drain delivery waits on a non-empty
+     * ROB).
+     * @pre c < nextActivityCycle()
      */
     void skipTo(Cycles c);
+
+    /**
+     * Pipeline ticks executed so far (host-side work counter): with
+     * tickSkip off it equals the detailed cycles simulated, and the
+     * gap to stats().cycles is what the skip saved. Not part of
+     * CoreStats, the checkpoint or any digest.
+     */
+    std::uint64_t ticksExecuted() const { return ticks_; }
 
     Cycles now() const { return cycle_; }
     unsigned id() const { return id_; }
@@ -293,8 +314,9 @@ class OooCore
          * Lower bound on the first cycle this entry's dependencies
          * can all be ready. The issue scan skips the entry with one
          * compare until then; the bound is refreshed whenever a
-         * dependency check fails, so skipping never delays an issue
-         * (a dep ready at cycle c yields a bound <= c).
+         * dependency check fails and by every nextActivityCycle()
+         * pass, so skipping never delays an issue (a dep ready at
+         * cycle c yields a bound <= c).
          */
         Cycles notBefore = 0;
     };
@@ -340,7 +362,17 @@ class OooCore
     /** Rebuild ring + completion wheel from rob_ after loadState. */
     void rebuildExecStructures();
     void applyCommitEffect(const RobEntry &entry);
-    bool depReady(std::uint64_t dep) const;
+    /** nextActivityCycle() past its gate: the last tick was idle. */
+    Cycles idleHorizon();
+    /** fetchStage() would fetch, inject or preempt this cycle
+     *  (frontend stall aside). */
+    bool fetchCanAct() const;
+    /** The next fetch is at a safepoint-marked instruction. */
+    bool atSafepoint() const;
+    /** Fetch may begin a priority preemption now. */
+    bool canPreempt() const;
+    /** Dispatching `front` is blocked on ROB/IQ/LQ/SQ capacity. */
+    bool dispatchBlocked(const RobEntry &front) const;
     /** Earliest cycle `dep` can be ready (0 when ready now). */
     Cycles depBound(std::uint64_t dep) const;
     /** Enqueue a just-issued micro-op for writeback at readyAt. */
@@ -550,6 +582,14 @@ class OooCore
     static constexpr Cycles kFfMinRegion = 64;
 
     CoreStats stats_;
+
+    // Host-side run-loop state, outside the checkpoint: it steers
+    // only how the simulator spends host time, never the timeline.
+    /** Pipeline ticks executed (ticksExecuted()). */
+    std::uint64_t ticks_ = 0;
+    /** The last tick fetched, issued and committed nothing: the
+     *  nextActivityCycle() gate. */
+    bool lastTickIdle_ = true;
 };
 
 } // namespace xui

@@ -35,10 +35,11 @@
  *
  * Gate fields:
  *  - `liveSpans`: interrupt spans currently open on this core;
- *  - `nextSampleAt`: absolute cycle of the next sample. Keeping it
- *    absolute means a skipped or fast-forwarded region needs no
- *    per-cycle bookkeeping: the first detailed tick at or past the
- *    mark fires;
+ *  - `nextSampleAt`: absolute cycle of the next sample. The tick
+ *    skip stops at it (and at every cycle while `liveSpans` is
+ *    nonzero), so samples land on the same cycles with skipping on
+ *    or off; a fast-forwarded region needs no per-cycle
+ *    bookkeeping: the first detailed tick at or past the mark fires;
  *  - `wantDetailUntil`: the probe's demand for full-detail
  *    execution through this absolute cycle. The core reads it only
  *    in fast-forward mode (the profiler pins detail across its burst

@@ -82,9 +82,9 @@ UarchSystem::run(Cycles n)
     if (cores_.empty())
         return;
     // A single-core system runs through the core's own loop, which
-    // carries both the quiesced skip and the fast-forward bulk path
-    // (the lockstep scan below degenerates to the same decisions,
-    // one virtual-call layer slower).
+    // carries both the stalled-core skip and the fast-forward bulk
+    // path (the lockstep scan below degenerates to the same
+    // decisions, one virtual-call layer slower).
     if (cores_.size() == 1) {
         cores_[0]->runCycles(n);
         return;
@@ -92,37 +92,31 @@ UarchSystem::run(Cycles n)
     Cycles end = cores_[0]->now() + n;
     const std::size_t n_cores = cores_.size();
     while (cores_[0]->now() < end) {
-        // Cores tick in lockstep; when every core is provably idle,
-        // jump all clocks to the earliest wake source in one step.
-        // One pass folds the quiesced check and the min-wake
-        // computation; the scan starts at the last core seen active
-        // (scanHint_), so a region with one busy core vetoes the
-        // jump after a single quiesced() test instead of rescanning
-        // the idle cores in front of it every cycle.
-        bool all_quiesced = true;
-        Cycles wake = OooCore::kNoWake;
-        for (std::size_t i = 0; i < n_cores; ++i) {
+        // Cores tick in lockstep; jump all clocks to one cycle short
+        // of the earliest activity of any core. The scan starts at
+        // the last core seen active (scanHint_), so a region with one
+        // busy core vetoes the jump after a single horizon test
+        // instead of rescanning the idle cores in front of it.
+        const Cycles next = cores_[0]->now() + 1;
+        Cycles h = OooCore::kNoWake;
+        for (std::size_t i = 0; i < n_cores && h > next; ++i) {
             std::size_t idx = scanHint_ + i;
             if (idx >= n_cores)
                 idx -= n_cores;
             OooCore &core = *cores_[idx];
-            if (!core.params().tickSkip || !core.quiesced()) {
-                all_quiesced = false;
+            Cycles c = core.params().tickSkip ? core.nextActivityCycle()
+                                              : next;
+            if (c < h) {
+                h = c;
                 scanHint_ = idx;
-                break;
             }
-            wake = std::min(wake, core.nextWakeCycle());
         }
-        if (all_quiesced) {
-            Cycles to = wake == OooCore::kNoWake
-                            ? end
-                            : std::min(wake - 1, end);
-            if (to > cores_[0]->now()) {
-                for (auto &core : cores_)
-                    core->skipTo(to);
-                if (cores_[0]->now() >= end)
-                    break;
-            }
+        if (h > next) {
+            Cycles to = std::min(h - 1, end);
+            for (auto &core : cores_)
+                core->skipTo(to);
+            if (cores_[0]->now() >= end)
+                break;
         }
         tick();
     }

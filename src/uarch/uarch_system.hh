@@ -77,8 +77,8 @@ class UarchSystem
     Uitt uitt_;
     CoreProbe *probe_ = nullptr;
     std::vector<std::unique_ptr<OooCore>> cores_;
-    /** run() scan rotation: index of the core last seen active, so
-     *  the all-quiesced test fails fast while it stays busy. */
+    /** run() scan rotation: index of the core with the nearest
+     *  activity, so the skip test fails fast while it stays busy. */
     std::size_t scanHint_ = 0;
 };
 
