@@ -6,8 +6,8 @@
  *
  * Header-only and dependency-free on purpose: uarch/intr/verify
  * components include it without linking the snapshot file engine, so
- * the layering (ckpt's file code sits above fault, which sits above
- * des) stays acyclic.
+ * the layering (ckpt's file code sits just above stats) stays
+ * acyclic.
  *
  * The format is deliberately dumb — fixed-width little-endian
  * integers, length-prefixed byte strings, no varints, no field tags.

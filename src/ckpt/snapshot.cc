@@ -33,6 +33,23 @@ const char *loadStatusName(LoadStatus s)
 namespace
 {
 
+/**
+ * Digest of every envelope field a flip could silently move without
+ * failing the parse: tag, seq, payload size and payload. The version
+ * and provenance strings are checked by value, so they stay out.
+ */
+std::uint64_t envelopeDigest(const std::string &tag, std::uint64_t seq,
+                             const std::string &payload)
+{
+    Fnv1a d;
+    d.update(tag.size());
+    d.update(tag.data(), tag.size());
+    d.update(seq);
+    d.update(payload.size());
+    d.update(payload.data(), payload.size());
+    return d.value();
+}
+
 std::string encodeEnvelope(const Snapshot &snap)
 {
     Writer w;
@@ -43,14 +60,13 @@ std::string encodeEnvelope(const Snapshot &snap)
     w.str(snap.tag);
     w.u64(snap.seq);
     w.u64(snap.payload.size());
-    w.u64(fnv1a(snap.payload.data(), snap.payload.size()));
+    w.u64(envelopeDigest(snap.tag, snap.seq, snap.payload));
     w.bytes(snap.payload.data(), snap.payload.size());
     return w.take();
 }
 
-/** Write `data` to `path` directly (fault paths skip the tmp). */
-bool writeFile(const std::string &path, const char *data,
-               std::size_t n, bool sync, std::string *error)
+bool writeFile(const std::string &path, const std::string &bytes,
+               std::string *error)
 {
     int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
@@ -59,8 +75,9 @@ bool writeFile(const std::string &path, const char *data,
         return false;
     }
     std::size_t off = 0;
-    while (off < n) {
-        ssize_t wrote = ::write(fd, data + off, n - off);
+    while (off < bytes.size()) {
+        ssize_t wrote =
+            ::write(fd, bytes.data() + off, bytes.size() - off);
         if (wrote < 0) {
             if (errno == EINTR)
                 continue;
@@ -71,90 +88,23 @@ bool writeFile(const std::string &path, const char *data,
         }
         off += static_cast<std::size_t>(wrote);
     }
-    bool synced = !sync || ::fsync(fd) == 0;
+    bool synced = ::fsync(fd) == 0;
     if (!synced && error)
         *error = path + ": fsync: " + std::strerror(errno);
     ::close(fd);
     return synced;
 }
 
-/**
- * Mutate the encoded envelope per the injected storage fault. The
- * header through payloadDigest occupies a fixed prefix plus three
- * length-prefixed strings; rather than re-deriving that offset,
- * fault shaping works on simple byte positions that are guaranteed
- * to hit the region the action names.
- */
-std::string applyFault(const std::string &bytes, fault::Action action,
-                       std::uint32_t magnitude)
-{
-    std::string out = bytes;
-    switch (action) {
-    case fault::Action::Delay:
-        // Torn write: only the first half of the file landed.
-        out.resize(out.size() / 2);
-        break;
-    case fault::Action::Duplicate: {
-        // Single bit flip somewhere in the payload region (last
-        // byte of the file is always payload when non-empty, and a
-        // flip anywhere fails the digest or the header parse).
-        if (!out.empty()) {
-            std::size_t pos = magnitude % out.size();
-            out[pos] = static_cast<char>(out[pos] ^ 0x40);
-        }
-        break;
-    }
-    case fault::Action::Reorder:
-        // Truncated right after the fixed magic+version prefix.
-        out.resize(sizeof(kMagic) + 4);
-        break;
-    case fault::Action::Spurious:
-        // Corrupted magic: reads as "not a snapshot at all".
-        if (out.size() >= sizeof(kMagic))
-            out[0] = '?';
-        break;
-    case fault::Action::Storm:
-        out.clear();
-        break;
-    default:
-        break;
-    }
-    return out;
-}
-
 } // namespace
 
-SaveResult saveSnapshot(const std::string &path, const Snapshot &snap,
-                        fault::Injector *injector, bool sync)
+SaveResult saveSnapshot(const std::string &path, const Snapshot &snap)
 {
     SaveResult res;
     std::string bytes = encodeEnvelope(snap);
 
-    fault::Injector::Decision d;
-    if (injector)
-        d = injector->decide(fault::Site::CheckpointWrite);
-
-    if (d.action == fault::Action::Drop) {
-        // Save silently lost before any byte reached storage; the
-        // previous generation (if any) survives untouched.
-        res.injected = d.action;
-        return res;
-    }
-    if (d.action != fault::Action::None) {
-        // Simulated storage fault on the final path: bypass the
-        // tmp+rename discipline on purpose, because the scenario
-        // being modeled is the final file ending up damaged.
-        res.injected = d.action;
-        std::string damaged = applyFault(bytes, d.action, d.magnitude);
-        writeFile(path, damaged.data(), damaged.size(), sync,
-                  &res.error);
-        return res;
-    }
-
-    // Crash-consistent happy path: tmp sibling + fsync + rename.
+    // Crash-consistent: tmp sibling + fsync + rename.
     std::string tmp = path + ".tmp";
-    if (!writeFile(tmp, bytes.data(), bytes.size(), sync,
-                   &res.error)) {
+    if (!writeFile(tmp, bytes, &res.error)) {
         ::remove(tmp.c_str());
         return res;
     }
@@ -196,17 +146,16 @@ LoadStatus loadSnapshot(const std::string &path, Snapshot &out,
 
     Snapshot snap;
     std::uint64_t payloadSize = 0;
-    std::uint64_t payloadDigest = 0;
+    std::uint64_t digest = 0;
     if (!r.str(snap.gitSha) || !r.str(snap.buildType) ||
         !r.str(snap.tag) || !r.u64(snap.seq) ||
-        !r.u64(payloadSize) || !r.u64(payloadDigest))
+        !r.u64(payloadSize) || !r.u64(digest))
         return LoadStatus::Corrupt;
     if (payloadSize != r.remaining())
         return LoadStatus::Corrupt;
     snap.payload.assign(bytes.data() + (bytes.size() - r.remaining()),
                         r.remaining());
-    if (fnv1a(snap.payload.data(), snap.payload.size()) !=
-        payloadDigest)
+    if (envelopeDigest(snap.tag, snap.seq, snap.payload) != digest)
         return LoadStatus::Corrupt;
 
     if (requireProvenance &&
@@ -222,11 +171,10 @@ std::string GenerationSet::slotPath(std::uint64_t seq) const
     return base_ + ".gen" + std::to_string(seq % keep_);
 }
 
-SaveResult GenerationSet::save(Snapshot snap,
-                               fault::Injector *injector)
+SaveResult GenerationSet::save(Snapshot snap)
 {
     snap.seq = nextSeq_++;
-    return saveSnapshot(slotPath(snap.seq), snap, injector, sync_);
+    return saveSnapshot(slotPath(snap.seq), snap);
 }
 
 GenerationSet::LoadOutcome

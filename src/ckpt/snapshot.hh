@@ -7,15 +7,18 @@
  * ckpt::Writer) wrapped in a self-validating envelope:
  *
  *   "XUICKPT\n" | u32 formatVersion | str gitSha | str buildType |
- *   str tag | u64 seq | u64 payloadSize | u64 payloadDigest |
+ *   str tag | u64 seq | u64 payloadSize | u64 digest |
  *   payload bytes
  *
  * Crash consistency is the classic POSIX recipe: write to a
  * temporary sibling, fsync, rename over the final path. A reader
  * therefore never observes a half-written final file from a crashed
- * writer — only from simulated write faults (Site::CheckpointWrite),
- * which is exactly what the FNV-1a payload digest and bounds-checked
- * header parse are there to catch.
+ * writer; damage done to the file afterwards (flaky storage, a torn
+ * copy, a stray bit flip) is the loader's to catch. The FNV-1a digest
+ * covers tag, seq, payload size and payload, the version and the
+ * provenance strings are checked by value, and the header parse is
+ * bounds-checked, so a single-bit flip anywhere in the file loads as
+ * something other than LoadStatus::Ok.
  *
  * GenerationSet rotates saves across `keep` sibling paths so a
  * corrupt newest generation falls back to the newest *valid* one
@@ -32,13 +35,12 @@
 #include <string>
 
 #include "ckpt/codec.hh"
-#include "fault/fault.hh"
 
 namespace xui::ckpt
 {
 
 /** Envelope format version; bump on any layout change. */
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 /** Leading magic, newline-terminated so `head -c8` identifies it. */
 constexpr char kMagic[8] = {'X', 'U', 'I', 'C', 'K', 'P', 'T', '\n'};
@@ -74,40 +76,14 @@ const char *loadStatusName(LoadStatus s);
 struct SaveResult
 {
     bool ok = false;
-    /** The fault fabric corrupted or dropped this save. */
-    fault::Action injected = fault::Action::None;
     std::string error;
 };
 
 /**
  * Serialize `snap` (provenance fields are overwritten with this
  * binary's) and write it crash-consistently to `path`.
- *
- * When `injector` is non-null the fabric is consulted once per save
- * at Site::CheckpointWrite; a matched directive simulates a storage
- * fault on the *final* file (the situation rename atomicity cannot
- * cause but flaky storage can):
- *   Drop      -> save silently lost (previous file kept)
- *   Delay     -> torn write: only the first half of the file lands
- *   Duplicate -> one payload byte bit-flipped (offset = magnitude)
- *   Reorder   -> file truncated right after the header
- *   Spurious  -> magic bytes corrupted
- *   Storm     -> zero-length file
- * Injected saves still return ok=false with `injected` set so the
- * caller can count them; every such outcome must be *detected* on
- * load (LoadStatus != Ok), never silently restored.
- *
- * `sync` controls the fsync before rename. It exists for callers
- * whose crash model is an in-process simulated kill (the chaos
- * harness): the page cache survives those by construction, so the
- * fsync buys nothing there and dominates runtime at high snapshot
- * cadence. Everything a reader can observe — envelope layout,
- * tmp+rename discipline, digest validation — is identical either
- * way. Real checkpointing keeps the default.
  */
-SaveResult saveSnapshot(const std::string &path, const Snapshot &snap,
-                        fault::Injector *injector = nullptr,
-                        bool sync = true);
+SaveResult saveSnapshot(const std::string &path, const Snapshot &snap);
 
 /**
  * Read and validate a snapshot. On anything but LoadStatus::Ok,
@@ -122,8 +98,8 @@ LoadStatus loadSnapshot(const std::string &path, Snapshot &out,
  * (files "<base>.gen0" .. "<base>.gen<keep-1>"). save() round-robins
  * by sequence number; loadLatest() scans every slot and restores the
  * valid snapshot with the highest seq, counting corrupt slots it
- * had to skip — the detected-corrupt + previous-generation fallback
- * the restore-under-fault tests assert on.
+ * had to skip — a damaged newest generation falls back to the
+ * previous valid one.
  */
 class GenerationSet
 {
@@ -136,11 +112,7 @@ class GenerationSet
     std::string slotPath(std::uint64_t seq) const;
 
     /** Save the next generation (assigns and bumps the seq). */
-    SaveResult save(Snapshot snap,
-                    fault::Injector *injector = nullptr);
-
-    /** Toggle fsync-before-rename (see saveSnapshot's `sync`). */
-    void setSync(bool sync) { sync_ = sync; }
+    SaveResult save(Snapshot snap);
 
     struct LoadOutcome
     {
@@ -164,7 +136,6 @@ class GenerationSet
     std::string base_;
     unsigned keep_;
     std::uint64_t nextSeq_ = 1;
-    bool sync_ = true;
 };
 
 } // namespace xui::ckpt

@@ -390,8 +390,7 @@ EventQueue::pendingSnapshot(std::size_t max) const
     // Bounded top-k: a max-heap of the k smallest (when, seq) seen
     // so far — O(pool log k) time and O(k) memory, so a watchdog
     // trip against a runaway queue with millions pending reports in
-    // microseconds instead of copying and sorting the whole pool
-    // (it can trip repeatedly: rollback-retry re-runs the cell).
+    // microseconds instead of copying and sorting the whole pool.
     out.reserve(max);
     for (const Event &e : pool_) {
         if (e.level == kUnlinked)

@@ -7,13 +7,10 @@
 #include <algorithm>
 #include <sstream>
 
-#include "ckpt/codec.hh"
-#include "ckpt/snapshot.hh"
 #include "des/simulation.hh"
 #include "exec/sweep.hh"
 #include "fault/invariants.hh"
 #include "fault/watchdog.hh"
-#include "stats/digest.hh"
 #include "obs/metrics.hh"
 #include "os/kernel.hh"
 #include "runtime/sender.hh"
@@ -37,7 +34,6 @@ const char *const kScenarioNames[kNumScenarios] = {
     "itr_misfire",
     "preempt_storm",
     "ff_boundary",
-    "ckpt_crash",
 };
 
 std::uint64_t
@@ -123,45 +119,6 @@ struct Cell
             poll->stop();
         for (int id : intervalIds)
             kernel.cancelInterval(id);
-    }
-
-    /**
-     * Runaway self-rescheduling event loop — the livelock a
-     * deschedule-site Storm directive plants in the ckpt_crash
-     * scenario. Nothing ever stops it; the watchdog budget converts
-     * it into StuckSimulation and rollback-recovery must regress to
-     * a checkpoint predating the directive (or a clean restart).
-     */
-    void startLivelock()
-    {
-        if (livelocked)
-            return;
-        livelocked = true;
-        livelockTick();
-    }
-
-    void livelockTick()
-    {
-        sim.queue().scheduleAfter(1, [this] { livelockTick(); });
-    }
-
-    bool livelocked = false;
-
-    /**
-     * Deterministic background tick through the horizon. The
-     * ckpt_crash scenario runs it so the event stream is dense
-     * enough that periodic snapshots and the seed-chosen kill point
-     * land inside every cell, storm or not (the protocol traffic
-     * alone fires only a few hundred events). Stops itself at the
-     * horizon, so drains are unaffected.
-     */
-    void startTicker(Cycles period)
-    {
-        if (sim.now() + period > cfg.horizon)
-            return;
-        sim.queue().scheduleAfter(period, [this, period] {
-            startTicker(period);
-        });
     }
 
     /** Reschedule everyone once so parked vectors drain. */
@@ -411,41 +368,6 @@ buildPreemptStorm(Cell &c)
 }
 
 /**
- * The checkpoint/crash scenario: a UIPI stream with deschedule
- * windows (so the protocol slow paths stay exercised) whose fault
- * consults can also plant a livelock (Storm) that only rollback
- * recovery survives. The runCellCkpt driver snapshots this cell
- * every few hundred events, kills it mid-run, and restores.
- */
-void
-buildCkptCrash(Cell &c)
-{
-    c.startTicker(40);
-    ThreadId recv = c.makeReceiver(1);
-    int idx = c.kernel.registerSender(
-        recv, static_cast<std::uint8_t>(1 + c.rng.nextBounded(3)));
-    assert(idx >= 0);
-
-    for (Cycles t : drawTimes(c.rng, 4, c.cfg.horizon * 3 / 4)) {
-        Cycles len = 200 + c.rng.nextBounded(1800);
-        c.sim.queue().scheduleAt(t, [&c, recv, len] {
-            c.openWindow(recv, 1, len);
-        });
-    }
-    for (Cycles t : drawTimes(c.rng, 48, c.cfg.horizon * 3 / 4)) {
-        c.sim.queue().scheduleAt(t, [&c, recv, idx] {
-            auto d = c.inj.decide(fault::Site::Deschedule);
-            if (d.action == fault::Action::Delay &&
-                d.magnitude != 0)
-                c.openWindow(recv, 1, d.magnitude);
-            else if (d.action == fault::Action::Storm)
-                c.startLivelock();
-            c.kernel.senduipi(idx);
-        });
-    }
-}
-
-/**
  * FfBoundary runs on the uarch tier, not through the kernel Cell: a
  * fast-forwarding core with a periodic KB timer plus a burst of
  * external UIPIs, every one of them a wake source the sampled-detail
@@ -604,9 +526,6 @@ buildScenario(Cell &c)
       case ScenarioKind::PreemptStorm:
         buildPreemptStorm(c);
         return;
-      case ScenarioKind::CkptCrash:
-        buildCkptCrash(c);
-        return;
       case ScenarioKind::FfBoundary:
         // Runs on the uarch tier; runCell dispatches it before the
         // kernel Cell is built.
@@ -623,7 +542,7 @@ counterValue(const MetricsRegistry &m, const char *name)
     return c != nullptr ? c->value() : 0;
 }
 
-/** Ledger/counter harvest shared by runCell and runCellCkpt. */
+/** Copy a finished cell's ledger and kernel counters into `res`. */
 void
 harvestCell(Cell &cell, CellResult &res)
 {
@@ -663,131 +582,6 @@ harvestCell(Cell &cell, CellResult &res)
     res.passed = res.violations.empty();
 }
 
-/**
- * Logical DES-tier checkpoint: the cell's Simulation holds live
- * lambdas, so its snapshot is not a byte image but the replay
- * coordinate (fired-event count) plus a validation digest of every
- * externally observable total. Restore rebuilds the cell from its
- * config (a pure function) and re-drives the queue to the recorded
- * event count; the digest then proves the replayed state is the
- * checkpointed state, never silently divergent.
- */
-struct CkptState
-{
-    Cycles now = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t posted = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t abandoned = 0;
-    std::uint64_t spuriousScans = 0;
-    std::uint64_t coalescedSatisfied = 0;
-    std::uint64_t handlerRuns = 0;
-    std::uint64_t consults[fault::kNumSites] = {};
-};
-
-CkptState
-captureState(Cell &c)
-{
-    CkptState s;
-    s.now = c.sim.now();
-    s.fired = c.sim.queue().firedCount();
-    s.posted = c.ledger.posted();
-    s.delivered = c.ledger.delivered();
-    s.abandoned = c.ledger.abandoned();
-    s.spuriousScans = c.ledger.spuriousScans();
-    s.coalescedSatisfied = c.ledger.coalescedSatisfied();
-    s.handlerRuns = c.handlerRuns;
-    for (std::size_t i = 0; i < fault::kNumSites; ++i)
-        s.consults[i] =
-            c.inj.consults(static_cast<fault::Site>(i));
-    return s;
-}
-
-/**
- * Validation digest over the state, excluding CheckpointWrite
- * consults: the reference (uninterrupted) timeline takes no
- * snapshots, so storage-site consult counts legitimately differ
- * between a run that checkpoints and its replay.
- */
-std::uint64_t
-ckptStateDigest(const CkptState &s)
-{
-    Fnv1a d;
-    d.update(s.now);
-    d.update(s.fired);
-    d.update(s.posted);
-    d.update(s.delivered);
-    d.update(s.abandoned);
-    d.update(s.spuriousScans);
-    d.update(s.coalescedSatisfied);
-    d.update(s.handlerRuns);
-    for (std::size_t i = 0; i < fault::kNumSites; ++i) {
-        if (static_cast<fault::Site>(i) ==
-            fault::Site::CheckpointWrite)
-            continue;
-        d.update(s.consults[i]);
-    }
-    return d.value();
-}
-
-std::string
-encodeCkptState(const CkptState &s)
-{
-    ckpt::Writer w;
-    w.u64(ckptStateDigest(s));
-    w.u64(s.now);
-    w.u64(s.fired);
-    w.u64(s.posted);
-    w.u64(s.delivered);
-    w.u64(s.abandoned);
-    w.u64(s.spuriousScans);
-    w.u64(s.coalescedSatisfied);
-    w.u64(s.handlerRuns);
-    for (std::size_t i = 0; i < fault::kNumSites; ++i)
-        w.u64(s.consults[i]);
-    return w.take();
-}
-
-bool
-decodeCkptState(const std::string &payload, CkptState &out,
-                std::uint64_t &digest)
-{
-    ckpt::Reader r(payload);
-    CkptState s;
-    if (!r.u64(digest) || !r.u64(s.now) || !r.u64(s.fired) ||
-        !r.u64(s.posted) || !r.u64(s.delivered) ||
-        !r.u64(s.abandoned) || !r.u64(s.spuriousScans) ||
-        !r.u64(s.coalescedSatisfied) || !r.u64(s.handlerRuns))
-        return false;
-    for (std::size_t i = 0; i < fault::kNumSites; ++i)
-        if (!r.u64(s.consults[i]))
-            return false;
-    out = s;
-    return r.ok();
-}
-
-/**
- * Transient-fault retry schedule: keep only the directives the
- * restored timeline already consumed — they replay identically on
- * the way back to the checkpoint — and disarm everything at or past
- * the restore point, storage faults included. This is what makes a
- * rollback a *retry*: the fault that wedged the run does not recur.
- */
-fault::Schedule
-filteredSchedule(const fault::Schedule &full,
-                 const std::uint64_t consults[fault::kNumSites])
-{
-    fault::Schedule out;
-    for (const fault::Directive &d : full.directives) {
-        if (d.site == fault::Site::CheckpointWrite)
-            continue;
-        if (d.occurrence <
-            consults[static_cast<std::size_t>(d.site)])
-            out.directives.push_back(d);
-    }
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -816,331 +610,11 @@ cellScheduleSeed(ScenarioKind kind, std::uint64_t seed)
                     static_cast<std::uint64_t>(kind));
 }
 
-/**
- * Checkpoint-enabled cell driver. The plain runCell path is
- * untouched when every ckpt field is off; this driver adds three
- * behaviours around the same scenario machinery:
- *
- *  - every `ckptEvery` fired events, a logical snapshot is taken
- *    (in memory, and through the crash-consistent on-disk engine
- *    when a generation path is configured — with Site::
- *    CheckpointWrite consulted per write, so storage damage lands
- *    exactly where the schedule aims it);
- *  - at `crashAtEvent` the cell is killed once: all in-memory state
- *    is discarded, the latest *valid* on-disk generation is
- *    restored (damaged newer generations are detected and skipped,
- *    counted as fallbacks), and the run replays forward;
- *  - when the event budget trips (StuckSimulation) or the finished
- *    run violates delivery invariants, the driver rolls back and
- *    retries: the newest snapshot first, then geometrically earlier
- *    ones, finally a clean restart with every directive disarmed —
- *    the transient-fault model that escapes a fault-planted
- *    livelock.
- *
- * Every restore is digest-validated: a replayed state that does not
- * reproduce the checkpoint is reported as a violation, never
- * silently accepted.
- */
-static CellResult
-runCellCkpt(const CellConfig &cfg)
-{
-    CellResult res;
-
-    const std::uint64_t every =
-        cfg.ckptEvery != 0 ? cfg.ckptEvery : 512;
-    ckpt::GenerationSet gens(cfg.ckptPathBase);
-    // The kill below is an in-process simulation, so the page cache
-    // survives it by construction and fsync buys no extra safety —
-    // it only dominates runtime at this snapshot cadence. The
-    // on-disk format and tmp+rename discipline are unchanged.
-    gens.setSync(false);
-
-    // Accounting that survives cell rebuilds; applied to the final
-    // kernel (noteRollback) so its metrics reflect the totals.
-    std::vector<std::uint64_t> retriesReplayed;
-    std::uint64_t snapshots = 0;
-    std::uint64_t corruptDetected = 0;
-    std::uint64_t fallbacks = 0;
-    bool crashRecovered = false;
-
-    // In-memory snapshot history of the current timeline. Cleared
-    // on the simulated kill: memory dies with the process, only the
-    // on-disk generations survive it.
-    std::vector<std::string> history;
-
-    bool crashArmed = cfg.crashAtEvent != 0;
-    fault::Schedule sched = cfg.schedule;
-    unsigned attempts = 0;
-    constexpr std::size_t kNoRestore = ~std::size_t(0);
-    std::size_t lastRestoreIdx = kNoRestore;
-    bool cleanRestartTried = false;
-
-    CellConfig attemptCfg = cfg;
-    std::unique_ptr<Cell> cell;
-
-    CkptState target{};
-    std::uint64_t targetDigest = 0;
-    bool haveTarget = false;
-
-    auto rebuild = [&]() {
-        cell.reset();
-        attemptCfg.schedule = sched;
-        cell = std::make_unique<Cell>(attemptCfg);
-        buildScenario(*cell);
-    };
-
-    /** Re-drive a fresh cell to the checkpoint and validate. */
-    auto replay = [&]() -> bool {
-        if (!haveTarget)
-            return true;
-        EventQueue &q = cell->sim.queue();
-        while (q.firedCount() < target.fired) {
-            if (q.peekNextTime() == EventQueue::kNoPending)
-                return false;
-            q.runOne();
-        }
-        return ckptStateDigest(captureState(*cell)) == targetDigest;
-    };
-
-    auto takeSnapshot = [&]() {
-        std::string payload = encodeCkptState(captureState(*cell));
-        history.push_back(payload);
-        ++snapshots;
-        if (!cfg.ckptPathBase.empty()) {
-            ckpt::Snapshot snap;
-            snap.tag = "chaos_cell";
-            snap.payload = std::move(payload);
-            // A faulted save (damaged or lost file) is the exercise
-            // itself; restore must detect it. Clean saves never fail
-            // here short of fatal I/O, which surfaces as a restore
-            // fallback.
-            gens.save(snap, &cell->inj);
-        }
-    };
-
-    enum class Outcome : std::uint8_t { Completed, Stuck, Crashed };
-
-    auto driveSpan = [&](Cycles limit,
-                         std::uint64_t &ran) -> Outcome {
-        EventQueue &q = cell->sim.queue();
-        for (;;) {
-            Cycles next = q.peekNextTime();
-            if (next == EventQueue::kNoPending || next > limit)
-                return Outcome::Completed;
-            if (ran >= cfg.eventBudget)
-                return Outcome::Stuck;
-            q.runOne();
-            ++ran;
-            std::uint64_t k = q.firedCount();
-            if (k % every == 0)
-                takeSnapshot();
-            if (crashArmed && k >= cfg.crashAtEvent) {
-                crashArmed = false;
-                return Outcome::Crashed;
-            }
-        }
-    };
-
-    auto drive = [&]() -> Outcome {
-        std::uint64_t ran = 0;
-        Outcome o = driveSpan(cfg.horizon, ran);
-        if (o != Outcome::Completed)
-            return o;
-        cell->stopSources();
-        for (;;) {
-            Cycles next = cell->sim.queue().peekNextTime();
-            if (next == EventQueue::kNoPending)
-                break;
-            o = driveSpan(next, ran);
-            if (o != Outcome::Completed)
-                return o;
-        }
-        if (cfg.finalDrain)
-            cell->finalDrain();
-        return Outcome::Completed;
-    };
-
-    /** Simulated kill: only the on-disk generations survive. */
-    auto recoverFromCrash = [&]() {
-        crashRecovered = true;
-        history.clear();
-        lastRestoreIdx = kNoRestore;
-        haveTarget = false;
-        // A crash is not fault-caused: the full schedule replays so
-        // the recovered run stays identical to the crash-free one.
-        sched = cfg.schedule;
-        if (cfg.ckptPathBase.empty())
-            return;
-        ckpt::Snapshot snap;
-        auto lo = gens.loadLatest(snap);
-        corruptDetected += lo.corruptSkipped;
-        if (lo.status != ckpt::LoadStatus::Ok)
-            return; // nothing valid survived: restart from scratch
-        if (lo.corruptSkipped != 0)
-            ++fallbacks;
-        CkptState st;
-        std::uint64_t dg = 0;
-        if (!decodeCkptState(snap.payload, st, dg)) {
-            res.violations.push_back(
-                "checkpoint payload undecodable behind a valid "
-                "envelope digest");
-            return;
-        }
-        target = st;
-        targetDigest = dg;
-        haveTarget = true;
-        // Seeds the new timeline's history; lastRestoreIdx stays
-        // unset so a later stuck-retry starts its regression from
-        // the newest snapshot, not from this restore point.
-        history.push_back(snap.payload);
-    };
-
-    /** @return false when out of retries (report the failure). */
-    auto recoverFromStuck = [&]() -> bool {
-        if (!cfg.rollbackRetry || attempts >= cfg.maxRollbackRetries)
-            return false;
-        if (cleanRestartTried)
-            return false; // even the fault-free restart failed
-        ++attempts;
-        std::size_t idx = history.size(); // sentinel: clean restart
-        if (!history.empty()) {
-            if (lastRestoreIdx == kNoRestore)
-                idx = history.size() - 1;
-            else if (lastRestoreIdx > 0)
-                idx = lastRestoreIdx / 2;
-        }
-        if (idx >= history.size()) {
-            // Clean restart: no checkpoint, every directive
-            // disarmed. Always terminates for a sane scenario.
-            cleanRestartTried = true;
-            haveTarget = false;
-            sched.directives.clear();
-            history.clear();
-            lastRestoreIdx = kNoRestore;
-            retriesReplayed.push_back(0);
-            return true;
-        }
-        CkptState st;
-        std::uint64_t dg = 0;
-        if (!decodeCkptState(history[idx], st, dg)) {
-            res.violations.push_back(
-                "in-memory checkpoint undecodable");
-            return false;
-        }
-        target = st;
-        targetDigest = dg;
-        haveTarget = true;
-        lastRestoreIdx = idx;
-        history.resize(idx + 1); // abandon the wedged timeline
-        sched = filteredSchedule(cfg.schedule, st.consults);
-        retriesReplayed.push_back(st.fired);
-        return true;
-    };
-
-    auto stuckMessage = [&]() {
-        EventQueue &q = cell->sim.queue();
-        auto pending = q.pendingSnapshot(8);
-        std::ostringstream msg;
-        msg << "StuckSimulation: event budget of "
-            << cfg.eventBudget << " exhausted at cycle " << q.now()
-            << " (" << q.pending() << " events still pending";
-        if (!pending.empty()) {
-            msg << "; next:";
-            for (const auto &p : pending)
-                msg << " @" << p.when << "#" << p.seq;
-        }
-        msg << "; after " << attempts << " rollback retries)";
-        return msg.str();
-    };
-
-    // `--restore FILE`: seed the run from an exact snapshot file.
-    // The full schedule replays beneath the re-drive (like crash
-    // recovery) so the resumed run stays identical to an
-    // uninterrupted one.
-    if (!cfg.restoreFrom.empty()) {
-        ckpt::Snapshot snap;
-        ckpt::LoadStatus st = ckpt::loadSnapshot(cfg.restoreFrom,
-                                                 snap);
-        if (st != ckpt::LoadStatus::Ok) {
-            res.violations.push_back(
-                "restore " + cfg.restoreFrom + ": " +
-                ckpt::loadStatusName(st));
-            res.passed = false;
-            return res;
-        }
-        CkptState rst;
-        std::uint64_t rdg = 0;
-        if (!decodeCkptState(snap.payload, rst, rdg)) {
-            res.violations.push_back(
-                "restore " + cfg.restoreFrom +
-                ": checkpoint payload undecodable behind a valid "
-                "envelope digest");
-            res.passed = false;
-            return res;
-        }
-        target = rst;
-        targetDigest = rdg;
-        haveTarget = true;
-        history.push_back(snap.payload);
-    }
-
-    rebuild();
-    for (;;) {
-        if (!replay()) {
-            res.violations.push_back(
-                "rollback restore diverged: replayed state does "
-                "not reproduce the checkpoint digest");
-            break;
-        }
-        Outcome o = drive();
-        if (o == Outcome::Crashed) {
-            recoverFromCrash();
-            rebuild();
-            continue;
-        }
-        if (o == Outcome::Stuck) {
-            if (recoverFromStuck()) {
-                rebuild();
-                continue;
-            }
-            res.stuck = true;
-            res.violations.push_back(stuckMessage());
-            break;
-        }
-        // Completed: a run that ends in violation also rolls back
-        // (bounded like the stuck path) — the invariant-violation
-        // arm of rollback-recovery.
-        if (!cell->ledger.check().empty() && recoverFromStuck()) {
-            rebuild();
-            continue;
-        }
-        break;
-    }
-
-    for (std::uint64_t replayed : retriesReplayed) {
-        cell->kernel.noteRollback(replayed);
-        res.rollbackEventsReplayed += replayed;
-    }
-    res.rollbackRetries = retriesReplayed.size();
-    res.ckptSnapshots = snapshots;
-    res.ckptCorruptDetected = corruptDetected;
-    res.ckptFallbacks = fallbacks;
-    res.crashRecovered = crashRecovered;
-
-    harvestCell(*cell, res);
-    if (!cfg.ckptPathBase.empty() && !cfg.ckptKeepFiles)
-        gens.removeAll();
-    return res;
-}
-
 CellResult
 runCell(const CellConfig &cfg)
 {
     if (cfg.kind == ScenarioKind::FfBoundary)
         return runFfBoundaryCell(cfg);
-    if (cfg.kind == ScenarioKind::CkptCrash || cfg.ckptEvery != 0 ||
-        cfg.crashAtEvent != 0 || !cfg.restoreFrom.empty())
-        return runCellCkpt(cfg);
 
     CellResult res;
     Cell cell(cfg);
@@ -1255,40 +729,12 @@ runGrid(const GridConfig &cfg)
                 ffso.dropFfRaise = true;
                 so = ffso;
             }
-            if (rep.kind == ScenarioKind::CkptCrash) {
-                // Aim faults at the snapshot write path and plant
-                // the deschedule-storm livelock; also kill the cell
-                // once at a seed-determined event count so the
-                // crash-restore path runs in every cell.
-                so.dropCkptWrite = true;
-                so.tearCkptWrite = true;
-                so.flipCkptWrite = true;
-                so.truncateCkptWrite = true;
-                so.stormDeschedule = true;
-                cc.ckptEvery =
-                    cfg.ckptEvery != 0 ? cfg.ckptEvery : 512;
-                cc.crashAtEvent =
-                    256 + cellScheduleSeed(rep.kind, rep.seed) % 2048;
-                if (!cfg.ckptDir.empty())
-                    cc.ckptPathBase = cfg.ckptDir + "/cell_" +
-                        scenarioName(rep.kind) + "_" +
-                        std::to_string(rep.seed) + ".ckpt";
-            }
             cc.schedule = fault::generateSchedule(
                 cellScheduleSeed(rep.kind, rep.seed), so);
             cc.recovery = cfg.recovery;
             cc.finalDrain = cfg.finalDrain;
             cc.horizon = cfg.horizon;
             cc.eventBudget = cfg.eventBudget;
-            if (rep.kind == ScenarioKind::CkptCrash) {
-                // A planted livelock costs the full budget per
-                // rollback attempt; clean ckpt cells fire ~10k
-                // events, so a tight budget keeps stuck detection
-                // (and the whole regression ladder) cheap without
-                // risking false trips.
-                cc.eventBudget =
-                    std::min<std::uint64_t>(cc.eventBudget, 64000);
-            }
             rep.schedule = cc.schedule;
             rep.result = runCell(cc);
             rep.shrunk = rep.schedule;

@@ -63,14 +63,6 @@ enum class ScenarioKind : std::uint8_t
      *  conservation and record-timeline invariants across every
      *  adversarial mode switch. */
     FfBoundary,
-    /** Kernel-tier cell taking periodic on-disk snapshots through
-     *  the crash-consistent engine, with faults aimed at the write
-     *  path (Site::CheckpointWrite damage), a simulated kill at a
-     *  configured event count (recovery restores the latest valid
-     *  generation and replays), and deschedule-site storms that
-     *  livelock the queue so the watchdog's rollback-retry earns
-     *  its keep. */
-    CkptCrash,
     kCount,
 };
 
@@ -102,36 +94,6 @@ struct CellConfig
     Cycles horizon = 200000;
     /** Watchdog event budget (hang -> StuckSimulation). */
     std::uint64_t eventBudget = 2000000;
-
-    // --- Checkpoint/restore (all off by default: runCell takes the
-    // --- pre-existing path untouched when every field is off).
-    /** Snapshot every N fired events (0 = no checkpointing). */
-    std::uint64_t ckptEvery = 0;
-    /**
-     * Simulated process kill once this many events fired (0 = no
-     * crash). Recovery restores the latest valid on-disk generation
-     * (or restarts from scratch when none survives) and replays;
-     * the final result must match the crash-free run.
-     */
-    std::uint64_t crashAtEvent = 0;
-    /**
-     * Base path of the on-disk snapshot generation set; empty keeps
-     * snapshots in memory only (a crash then restarts from scratch).
-     */
-    std::string ckptPathBase;
-    /** Keep snapshot files after the run (tools set this). */
-    bool ckptKeepFiles = false;
-    /**
-     * Resume from this exact snapshot file before running (the
-     * `--restore FILE` path). Provenance-strict: a snapshot written
-     * by a different binary is refused loudly, never replayed.
-     */
-    std::string restoreFrom;
-    /** Roll back to a checkpoint and retry when the watchdog trips
-     *  or the finished run violates delivery invariants. */
-    bool rollbackRetry = true;
-    /** Rollback-retry attempts before reporting the failure. */
-    unsigned maxRollbackRetries = 16;
 };
 
 /** What one cell run produced. */
@@ -180,21 +142,6 @@ struct CellResult
     std::uint64_t ffEntries = 0;
     std::uint64_t ffExits = 0;
     std::uint64_t ffRaisesDropped = 0;
-
-    // Checkpoint/rollback accounting (ckpt-enabled cells only).
-    /** Snapshots taken (in memory; each is also written to disk
-     *  when a generation path is configured). */
-    std::uint64_t ckptSnapshots = 0;
-    /** Damaged generations detected and skipped during restore. */
-    std::uint64_t ckptCorruptDetected = 0;
-    /** Restores that fell back past a damaged newest generation. */
-    std::uint64_t ckptFallbacks = 0;
-    /** Watchdog/invariant rollback-retries performed. */
-    std::uint64_t rollbackRetries = 0;
-    /** Events re-driven to reach restored checkpoints, summed. */
-    std::uint64_t rollbackEventsReplayed = 0;
-    /** A simulated kill happened and recovery ran. */
-    bool crashRecovered = false;
 };
 
 /** Deterministic schedule seed for a (kind, scenario-seed) cell. */
@@ -226,14 +173,6 @@ struct GridConfig
     bool shrinkFailures = true;
     Cycles horizon = 200000;
     std::uint64_t eventBudget = 2000000;
-    /**
-     * Directory for CkptCrash cells' on-disk snapshot generations
-     * (each cell uses a unique base path inside it); empty keeps
-     * those cells' snapshots in memory only.
-     */
-    std::string ckptDir;
-    /** CkptCrash snapshot cadence override (0 = default 512). */
-    std::uint64_t ckptEvery = 0;
 };
 
 /** One grid cell's report (failures keep their shrunk schedule). */

@@ -14,7 +14,6 @@ constexpr const char *kSiteNames[] = {
     "notify_ipi", "kbtimer_fire", "kbtimer_poll",
     "forward_dispatch", "deschedule", "raise_uarch",
     "moderation_flush", "preempt_save", "ff_transition",
-    "checkpoint_write",
 };
 static_assert(sizeof(kSiteNames) / sizeof(kSiteNames[0]) ==
               kNumSites);
@@ -48,10 +47,10 @@ parseU64(const std::string &text, std::uint64_t &out)
     for (char c : text) {
         if (c < '0' || c > '9')
             return false;
-        std::uint64_t next = v * 10 + static_cast<unsigned>(c - '0');
-        if (next < v)
+        std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+        if (v > (~std::uint64_t(0) - d) / 10)
             return false;
-        v = next;
+        v = v * 10 + d;
     }
     out = v;
     return true;
@@ -190,16 +189,6 @@ generateSchedule(std::uint64_t seed, const ScheduleOptions &opts)
         classes.push_back({Site::FfTransition, Action::Drop});
     if (opts.duplicateFfRaise)
         classes.push_back({Site::FfTransition, Action::Duplicate});
-    if (opts.dropCkptWrite)
-        classes.push_back({Site::CheckpointWrite, Action::Drop});
-    if (opts.tearCkptWrite)
-        classes.push_back({Site::CheckpointWrite, Action::Delay});
-    if (opts.flipCkptWrite)
-        classes.push_back({Site::CheckpointWrite, Action::Duplicate});
-    if (opts.truncateCkptWrite)
-        classes.push_back({Site::CheckpointWrite, Action::Reorder});
-    if (opts.stormDeschedule)
-        classes.push_back({Site::Deschedule, Action::Storm});
 
     Schedule sched;
     if (classes.empty())
@@ -223,17 +212,6 @@ generateSchedule(std::uint64_t seed, const ScheduleOptions &opts)
             d.magnitude = 2 + static_cast<std::uint32_t>(
                 rng.nextBounded(opts.maxStorm > 2
                                 ? opts.maxStorm - 1 : 1));
-            break;
-          case Action::Duplicate:
-            // Checkpoint bit flips land at (magnitude % file size);
-            // draw an offset so flips hit the payload region too,
-            // not always byte 0 of the header. Only CheckpointWrite
-            // classes reach here with a draw, so pre-existing
-            // schedules stay byte-identical.
-            d.magnitude = c.site == Site::CheckpointWrite
-                ? static_cast<std::uint32_t>(
-                      rng.nextBounded(opts.maxDelay))
-                : 0;
             break;
           default:
             d.magnitude = 0;

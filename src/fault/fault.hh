@@ -59,9 +59,6 @@ enum class Site : std::uint8_t
      *  simulation hands off between the functional loop and the
      *  detailed pipeline. */
     FfTransition,
-    /** Snapshot engine is writing a checkpoint file: torn writes,
-     *  truncation, bit flips, and lost saves are modeled here. */
-    CheckpointWrite,
     kCount,
 };
 
@@ -171,22 +168,6 @@ struct ScheduleOptions
     bool delayFfDetail = false;
     bool dropFfRaise = false;
     bool duplicateFfRaise = false;
-    // Checkpoint-write faults only make sense for cells that take
-    // on-disk snapshots (the ckpt_crash scenario), so they default
-    // off for the same byte-identical reason. The action names are
-    // reused for storage damage: Drop = save lost, Delay = torn
-    // half-write, Duplicate = payload bit flip, Reorder = truncated
-    // after the header, Spurious = bad magic, Storm = zero-length.
-    bool dropCkptWrite = false;
-    bool tearCkptWrite = false;
-    bool flipCkptWrite = false;
-    bool truncateCkptWrite = false;
-    // Deschedule-site storm: the ckpt_crash scenario turns a storm
-    // decision into a runaway self-rescheduling event loop — the
-    // livelock the watchdog budget converts into StuckSimulation and
-    // rollback-recovery must survive. Off by default for the same
-    // byte-identical reason.
-    bool stormDeschedule = false;
 };
 
 /**

@@ -1246,10 +1246,6 @@ Kernel::attachMetrics(MetricsRegistry &registry)
         &registry.counter("kernel.recovery.forward_delayed");
     mSpuriousScans_ =
         &registry.counter("kernel.recovery.spurious_scans");
-    mRollbackRetries_ =
-        &registry.counter("kernel.recovery.rollback_retries");
-    mRollbackEventsReplayed_ = &registry.counter(
-        "kernel.recovery.rollback_events_replayed");
 
     mModCoalesced_ = &registry.counter("kernel.moderation.coalesced");
     mModSuppressed_ =
@@ -1277,15 +1273,6 @@ Kernel::attachMetrics(MetricsRegistry &registry)
         &registry.counter("kernel.preempt.double_save");
     mPreemptResumeReplayed_ =
         &registry.counter("kernel.preempt.resume_replayed");
-}
-
-void
-Kernel::noteRollback(std::uint64_t eventsReplayed)
-{
-    bump(mRollbackRetries_);
-    bump(mRollbackEventsReplayed_, eventsReplayed);
-    ktrace("kernel.recovery.rollback_retries",
-           KernelCounterTrace::kNoVector);
 }
 
 unsigned

@@ -320,15 +320,6 @@ class Kernel
     }
 
     /**
-     * Record one watchdog rollback-retry: the run was rolled back
-     * to a checkpoint and `eventsReplayed` events were re-driven to
-     * reach it. Called by the chaos harness on the surviving cell
-     * (checkpoint recovery rebuilds the kernel, so the totals are
-     * accumulated outside and applied to the final instance).
-     */
-    void noteRollback(std::uint64_t eventsReplayed);
-
-    /**
      * Register the kernel's counters ("kernel.*") with a metrics
      * registry. Without this call every counter pointer stays null
      * and the hot paths pay nothing.
@@ -561,8 +552,6 @@ class Kernel
     Counter *mRecoveredFwdParked_ = nullptr;
     Counter *mRecoveredFwdDelayed_ = nullptr;
     Counter *mSpuriousScans_ = nullptr;
-    Counter *mRollbackRetries_ = nullptr;
-    Counter *mRollbackEventsReplayed_ = nullptr;
 
     // kernel.moderation.*: delivery-policy and moderation outcomes.
     Counter *mModCoalesced_ = nullptr;

@@ -1,15 +1,14 @@
 /**
  * @file
  * Checkpoint/restore engine tests: the crash-consistent snapshot
- * file format (envelope validation, provenance strictness,
- * generation-set fallback), restore-under-fault coverage for every
- * Site::CheckpointWrite action (damage is always detected or the
- * previous generation wins — never a silent divergence), the golden
- * corpus round-trip (interrupted + resumed == uninterrupted, bit for
- * bit), the ckpt_crash chaos driver (crash recovery, rollback-retry,
- * restore-from-file), the kernel.recovery.rollback_* counters, and
- * the watchdog's bounded pending-event snapshot under repeated trips
- * (the ASan leak/determinism loop).
+ * file format (envelope validation, provenance strictness, every
+ * single-bit flip refused), generation-set fallback past a damaged
+ * newest file (torn, flipped, truncated, bad magic, empty — damage is
+ * always detected and the previous generation wins, never a silent
+ * divergence), the golden corpus round-trip (interrupted + resumed ==
+ * uninterrupted, bit for bit), and the watchdog's bounded
+ * pending-event snapshot under repeated trips (the ASan
+ * leak/determinism loop).
  */
 
 #include <gtest/gtest.h>
@@ -25,12 +24,7 @@
 #include "ckpt/codec.hh"
 #include "ckpt/snapshot.hh"
 #include "des/simulation.hh"
-#include "fault/chaos.hh"
-#include "fault/fault.hh"
 #include "fault/watchdog.hh"
-#include "obs/metrics.hh"
-#include "os/cost_model.hh"
-#include "os/kernel.hh"
 #include "verify/roundtrip.hh"
 #include "verify/scenario_run.hh"
 
@@ -145,57 +139,48 @@ TEST(SnapshotFile, ProvenanceMismatchRefusedUnlessWaived)
     std::filesystem::remove(path);
 }
 
-// ----- restore-under-fault: every CheckpointWrite action ------------
-
-/**
- * For every fault the fabric can inject at Site::CheckpointWrite,
- * a save over a previous good snapshot must end in one of exactly
- * two states: the old snapshot intact (save lost), or a damaged
- * file that load *detects*. LoadStatus::Ok with the new payload —
- * silent divergence — must be impossible.
- */
-TEST(SnapshotFault, EveryActionDetectedOrPreviousKept)
+/** Byte offset of the u64 `seq` field in a snapshot tagged `tag`. */
+std::size_t
+seqOffset(const std::string &tag)
 {
-    const fault::Action kActions[] = {
-        fault::Action::Drop,      // save silently lost
-        fault::Action::Delay,     // torn half-write
-        fault::Action::Duplicate, // payload bit flip
-        fault::Action::Reorder,   // truncated after header
-        fault::Action::Spurious,  // corrupted magic
-        fault::Action::Storm,     // zero-length file
-    };
-    for (fault::Action action : kActions) {
-        SCOPED_TRACE(fault::actionName(action));
-        const std::string path = tmpPath("fault.ckpt");
-        std::filesystem::remove(path);
-        ASSERT_TRUE(
-            ckpt::saveSnapshot(path, sampleSnapshot("old")).ok);
-
-        fault::Schedule sched;
-        sched.directives.push_back(
-            {fault::Site::CheckpointWrite, 0, action, 3});
-        fault::Injector inj(sched);
-        ckpt::SaveResult sr =
-            ckpt::saveSnapshot(path, sampleSnapshot("new"), &inj);
-        EXPECT_FALSE(sr.ok);
-        EXPECT_EQ(sr.injected, action);
-
-        ckpt::Snapshot out;
-        ckpt::LoadStatus st = ckpt::loadSnapshot(path, out);
-        if (st == ckpt::LoadStatus::Ok) {
-            // Only legal when the damaged save never replaced the
-            // previous good file.
-            EXPECT_EQ(out.payload, "old")
-                << "silent divergence: faulted save loaded clean";
-        } else {
-            EXPECT_NE(st, ckpt::LoadStatus::Missing)
-                << "faulted save destroyed the previous snapshot";
-        }
-        std::filesystem::remove(path);
-    }
+    ckpt::Writer w;
+    w.bytes(ckpt::kMagic, sizeof(ckpt::kMagic));
+    w.u32(ckpt::kFormatVersion);
+    w.str(ckpt::kBuildGitSha);
+    w.str(ckpt::kBuildType);
+    w.str(tag);
+    return w.take().size();
 }
 
-// ----- generation set -----------------------------------------------
+/**
+ * No single-bit flip anywhere in the file — header or payload — may
+ * load as Ok under strict provenance: the digest covers tag, seq,
+ * payload size and payload, and the rest of the header is checked by
+ * value or fails the parse.
+ */
+TEST(SnapshotFile, EverySingleBitFlipRefused)
+{
+    const std::string path = tmpPath("bitflip.ckpt");
+    ckpt::Snapshot in = sampleSnapshot("flip me");
+    in.seq = 7;
+    ASSERT_TRUE(ckpt::saveSnapshot(path, in).ok);
+    const std::string clean = readFile(path);
+    ASSERT_FALSE(clean.empty());
+
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bytes = clean;
+            bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+            writeFileRaw(path, bytes);
+            ckpt::Snapshot out;
+            EXPECT_NE(ckpt::loadSnapshot(path, out),
+                      ckpt::LoadStatus::Ok)
+                << "flip of bit " << bit << " in byte " << i
+                << " loaded clean";
+        }
+    }
+    std::filesystem::remove(path);
+}
 
 TEST(GenerationSet, LoadLatestPicksHighestSeq)
 {
@@ -214,24 +199,78 @@ TEST(GenerationSet, LoadLatestPicksHighestSeq)
     gens.removeAll();
 }
 
+/**
+ * Storage damage to the newest generation, applied to the file on
+ * disk after a clean save: each case must be detected on load and
+ * the previous generation restored in its place.
+ */
 TEST(GenerationSet, CorruptNewestFallsBackToPreviousGeneration)
 {
-    const std::string base = tmpPath("gens_fb.ckpt");
-    ckpt::GenerationSet gens(base);
-    ASSERT_TRUE(gens.save(sampleSnapshot("good")).ok);
-    ASSERT_TRUE(gens.save(sampleSnapshot("newest")).ok);
+    struct Damage
+    {
+        const char *name;
+        std::function<void(std::string &)> apply;
+    };
+    const std::string payload = "newest";
+    const Damage kDamage[] = {
+        {"torn half", [](std::string &b) { b.resize(b.size() / 2); }},
+        {"payload bit flip",
+         [](std::string &b) {
+             b.back() = static_cast<char>(b.back() ^ 0x40);
+         }},
+        {"truncated after the header",
+         [&](std::string &b) { b.resize(b.size() - payload.size()); }},
+        {"bad magic", [](std::string &b) { b[0] = '?'; }},
+        {"zero length", [](std::string &b) { b.clear(); }},
+    };
+    for (const Damage &d : kDamage) {
+        SCOPED_TRACE(d.name);
+        const std::string base = tmpPath("gens_fb.ckpt");
+        ckpt::GenerationSet gens(base);
+        ASSERT_TRUE(gens.save(sampleSnapshot("good")).ok);
+        ASSERT_TRUE(gens.save(sampleSnapshot(payload)).ok);
 
-    // Tear the newest generation in half behind the engine's back.
-    const std::string newest = gens.slotPath(2);
-    std::string bytes = readFile(newest);
-    ASSERT_GT(bytes.size(), 2u);
-    writeFileRaw(newest, bytes.substr(0, bytes.size() / 2));
+        // Damage the newest generation behind the engine's back.
+        const std::string newest = gens.slotPath(2);
+        std::string bytes = readFile(newest);
+        ASSERT_GT(bytes.size(), payload.size());
+        d.apply(bytes);
+        writeFileRaw(newest, bytes);
+
+        ckpt::Snapshot out;
+        auto lo = gens.loadLatest(out);
+        EXPECT_EQ(lo.status, ckpt::LoadStatus::Ok);
+        EXPECT_EQ(lo.corruptSkipped, 1u);
+        EXPECT_EQ(out.payload, "good");
+        gens.removeAll();
+    }
+}
+
+/**
+ * A flipped seq must not let an older generation outrank the newest:
+ * the digest covers seq, so the damaged slot is skipped as corrupt.
+ */
+TEST(GenerationSet, SeqFlipInOlderGenerationSkippedAsCorrupt)
+{
+    const std::string base = tmpPath("gens_seq.ckpt");
+    ckpt::GenerationSet gens(base);
+    ASSERT_TRUE(gens.save(sampleSnapshot("old-state")).ok);
+    ASSERT_TRUE(gens.save(sampleSnapshot("new-state")).ok);
+
+    // Top bit-0 of the older slot's little-endian seq: 1 -> 2^56 + 1.
+    const std::string older = gens.slotPath(1);
+    std::string bytes = readFile(older);
+    const std::size_t at = seqOffset("test") + 7;
+    ASSERT_LT(at, bytes.size());
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    writeFileRaw(older, bytes);
 
     ckpt::Snapshot out;
     auto lo = gens.loadLatest(out);
     EXPECT_EQ(lo.status, ckpt::LoadStatus::Ok);
     EXPECT_EQ(lo.corruptSkipped, 1u);
-    EXPECT_EQ(out.payload, "good");
+    EXPECT_EQ(out.payload, "new-state");
+    EXPECT_EQ(out.seq, 2u);
     gens.removeAll();
 }
 
@@ -291,206 +330,6 @@ TEST(CorpusRoundTrip, SweepAgreesAcrossJobs)
     EXPECT_EQ(s1.failures, s2.failures);
 }
 
-// ----- ckpt_crash chaos driver --------------------------------------
-
-fault::ScheduleOptions
-ckptScheduleOptions()
-{
-    fault::ScheduleOptions so;
-    so.dropCkptWrite = true;
-    so.tearCkptWrite = true;
-    so.flipCkptWrite = true;
-    so.truncateCkptWrite = true;
-    so.stormDeschedule = true;
-    return so;
-}
-
-chaos::CellConfig
-ckptCellConfig(std::uint64_t seed)
-{
-    chaos::CellConfig cc;
-    cc.kind = chaos::ScenarioKind::CkptCrash;
-    cc.seed = seed;
-    cc.schedule = fault::generateSchedule(
-        chaos::cellScheduleSeed(cc.kind, seed),
-        ckptScheduleOptions());
-    cc.ckptEvery = 512;
-    // A planted livelock costs the whole budget per rollback
-    // attempt; keep stuck detection cheap (mirrors runGrid).
-    cc.eventBudget = 64000;
-    return cc;
-}
-
-TEST(CkptCrashCell, CrashRecoveryMatchesCrashFreeRun)
-{
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        chaos::CellConfig base = ckptCellConfig(seed);
-
-        chaos::CellConfig crashed = base;
-        crashed.crashAtEvent =
-            256 +
-            chaos::cellScheduleSeed(base.kind, seed) % 2048;
-        crashed.ckptPathBase =
-            tmpPath("crash_" + std::to_string(seed) + ".ckpt");
-
-        chaos::CellResult a = chaos::runCell(base);
-        chaos::CellResult b = chaos::runCell(crashed);
-
-        EXPECT_TRUE(b.crashRecovered);
-        EXPECT_GT(b.ckptSnapshots, 0u);
-        // The kill is not allowed to perturb anything observable.
-        EXPECT_EQ(a.posted, b.posted);
-        EXPECT_EQ(a.delivered, b.delivered);
-        EXPECT_EQ(a.abandoned, b.abandoned);
-        EXPECT_EQ(a.handlerRuns, b.handlerRuns);
-        EXPECT_EQ(a.passed, b.passed);
-        for (const auto &v : b.violations)
-            ADD_FAILURE() << "crash-run violation: " << v;
-    }
-}
-
-TEST(CkptCrashCell, RollbackRetryEscapesPlantedLivelock)
-{
-    chaos::CellConfig cc;
-    cc.kind = chaos::ScenarioKind::CkptCrash;
-    cc.seed = 2;
-    cc.schedule.directives.push_back(
-        {fault::Site::Deschedule, 0, fault::Action::Storm, 3});
-    cc.ckptEvery = 256;
-    cc.eventBudget = 64000;
-
-    chaos::CellResult r1 = chaos::runCell(cc);
-    EXPECT_TRUE(r1.passed);
-    EXPECT_GE(r1.rollbackRetries, 1u);
-    for (const auto &v : r1.violations)
-        ADD_FAILURE() << "violation: " << v;
-
-    // Rollback-recovery is part of the deterministic replay
-    // surface: the same cell twice must retry identically.
-    chaos::CellResult r2 = chaos::runCell(cc);
-    EXPECT_EQ(r1.rollbackRetries, r2.rollbackRetries);
-    EXPECT_EQ(r1.rollbackEventsReplayed, r2.rollbackEventsReplayed);
-    EXPECT_EQ(r1.posted, r2.posted);
-    EXPECT_EQ(r1.delivered, r2.delivered);
-    EXPECT_EQ(r1.handlerRuns, r2.handlerRuns);
-}
-
-TEST(CkptCrashCell, RollbackDisabledReportsStuck)
-{
-    chaos::CellConfig cc;
-    cc.kind = chaos::ScenarioKind::CkptCrash;
-    cc.seed = 2;
-    cc.schedule.directives.push_back(
-        {fault::Site::Deschedule, 0, fault::Action::Storm, 3});
-    cc.ckptEvery = 256;
-    cc.eventBudget = 64000;
-    cc.rollbackRetry = false;
-
-    chaos::CellResult r = chaos::runCell(cc);
-    EXPECT_FALSE(r.passed);
-    EXPECT_TRUE(r.stuck);
-    ASSERT_FALSE(r.violations.empty());
-    EXPECT_NE(r.violations.front().find("rollback retries"),
-              std::string::npos)
-        << r.violations.front();
-}
-
-TEST(CkptCrashCell, RestoreFromFileResumesIdentically)
-{
-    chaos::CellConfig cc;
-    cc.kind = chaos::ScenarioKind::CkptCrash;
-    cc.seed = 5;
-    cc.ckptEvery = 256;
-    cc.eventBudget = 64000;
-    cc.ckptPathBase = tmpPath("restore_src.ckpt");
-    cc.ckptKeepFiles = true;
-
-    chaos::CellResult base = chaos::runCell(cc);
-    ASSERT_TRUE(base.passed);
-    ASSERT_GT(base.ckptSnapshots, 0u);
-
-    ckpt::GenerationSet gens(cc.ckptPathBase);
-    std::string slot;
-    for (std::uint64_t seq = 1; seq <= gens.keep(); ++seq)
-        if (std::filesystem::exists(gens.slotPath(seq)))
-            slot = gens.slotPath(seq);
-    ASSERT_FALSE(slot.empty());
-
-    chaos::CellConfig rc = cc;
-    rc.ckptPathBase.clear();
-    rc.ckptKeepFiles = false;
-    rc.restoreFrom = slot;
-    chaos::CellResult r = chaos::runCell(rc);
-    EXPECT_TRUE(r.passed);
-    for (const auto &v : r.violations)
-        ADD_FAILURE() << "violation: " << v;
-    EXPECT_EQ(r.posted, base.posted);
-    EXPECT_EQ(r.delivered, base.delivered);
-    EXPECT_EQ(r.handlerRuns, base.handlerRuns);
-    gens.removeAll();
-}
-
-TEST(CkptCrashCell, RestoreFromBadFileFailsLoudly)
-{
-    chaos::CellConfig cc;
-    cc.kind = chaos::ScenarioKind::CkptCrash;
-    cc.seed = 5;
-    cc.restoreFrom = tmpPath("no_such_snapshot.ckpt");
-    chaos::CellResult r = chaos::runCell(cc);
-    EXPECT_FALSE(r.passed);
-    ASSERT_FALSE(r.violations.empty());
-    EXPECT_NE(r.violations.front().find("restore"),
-              std::string::npos);
-}
-
-TEST(CkptCrashGrid, JobsInvariant)
-{
-    chaos::GridConfig gc;
-    gc.kinds = {chaos::ScenarioKind::CkptCrash};
-    gc.seeds = 6;
-    gc.ckptDir = testing::TempDir() + "xui_ckpt_grid";
-    gc.jobs = 1;
-    chaos::GridOutcome g1 = chaos::runGrid(gc);
-    gc.jobs = 2;
-    chaos::GridOutcome g2 = chaos::runGrid(gc);
-    EXPECT_EQ(g1.cells, 6u);
-    EXPECT_EQ(g1.failed, g2.failed);
-    EXPECT_EQ(g1.posted, g2.posted);
-    EXPECT_EQ(g1.delivered, g2.delivered);
-    EXPECT_EQ(g1.injected, g2.injected);
-    for (const auto &rep : g1.failures)
-        for (const auto &v : rep.result.violations)
-            ADD_FAILURE()
-                << "grid seed " << rep.seed << ": " << v;
-}
-
-// ----- kernel rollback counters -------------------------------------
-
-std::uint64_t
-counterOf(const MetricsRegistry &m, const char *name)
-{
-    const Counter *c = m.findCounter(name);
-    return c != nullptr ? c->value() : 0;
-}
-
-TEST(RecoveryCounters, NoteRollbackAccountsEveryRetry)
-{
-    Simulation sim{1};
-    CostModel costs;
-    Kernel kernel{sim, costs, 1};
-    MetricsRegistry m;
-    kernel.attachMetrics(m);
-
-    kernel.noteRollback(123);
-    kernel.noteRollback(7);
-    kernel.noteRollback(0);
-    EXPECT_EQ(counterOf(m, "kernel.recovery.rollback_retries"), 3u);
-    EXPECT_EQ(
-        counterOf(m, "kernel.recovery.rollback_events_replayed"),
-        130u);
-}
-
 // ----- watchdog pending-event snapshot ------------------------------
 
 TEST(WatchdogSnapshot, BoundedTopKMatchesSortedPrefix)
@@ -519,9 +358,9 @@ TEST(WatchdogSnapshot, BoundedTopKMatchesSortedPrefix)
 }
 
 /**
- * The rollback-retry driver can trip the watchdog over and over on
- * the same wedged queue; each trip must produce a bounded, sorted
- * snapshot and leak nothing (this test is what ASan chews on).
+ * A watchdog can trip over and over on the same wedged queue; each
+ * trip must produce a bounded, sorted snapshot and leak nothing (this
+ * test is what ASan chews on).
  */
 TEST(WatchdogSnapshot, HundredTripsBoundedAndLeakFree)
 {

@@ -24,20 +24,13 @@
  * invariants catch unrecovered loss (expect failures; pair with
  * --out-dir to collect the shrunk reproducers).
  *
- * Checkpoint/restore wiring (DESIGN.md §14): --checkpoint-every N
- * snapshots each cell every N fired events; with --ckpt-dir the
- * snapshots are crash-consistent on-disk generation sets that
- * --restore FILE resumes from (provenance-strict — a snapshot from a
- * different binary is refused, see --version). --crash-at K
- * simulates an in-process kill after K events; recovery restores the
- * newest valid generation and the resumed run must match the
- * crash-free one bit for bit.
- *
  * Grid mode runs by default; `--replay --scenario NAME --seed S
- * --schedule TEXT` replays one cell (`--crash-at` and `--restore`
- * are replay-only). A malformed numeric value (sign, non-digit,
- * trailing junk, or 0 for a count where zero means an empty run)
- * exits 2 with usage; `--help` lists every flag.
+ * --schedule TEXT` replays one cell. The replay line carries every
+ * non-default flag that changes a cell (--no-recovery, --horizon,
+ * --budget), so it reproduces the failure it was printed for. A
+ * malformed numeric value (sign, non-digit, trailing junk, or 0 for a
+ * count where zero means an empty run) exits 2 with usage; `--help`
+ * lists every flag.
  */
 
 #include <cstdint>
@@ -48,7 +41,6 @@
 #include <vector>
 
 #include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
 #include "exec/flags.hh"
 #include "fault/chaos.hh"
 #include "fault/fault.hh"
@@ -75,10 +67,6 @@ struct Options
     std::uint64_t seed = 1;
     std::string schedule;
     std::string outDir;
-    std::uint64_t checkpointEvery = 0;
-    std::uint64_t crashAt = 0;
-    std::string ckptDir;
-    std::string restorePath;
 };
 
 std::string
@@ -90,8 +78,10 @@ replayCommand(const chaos::CellReport &rep, const Options &opt)
     cmd += " --schedule \"" + rep.shrunk.encode() + "\"";
     if (opt.noRecovery)
         cmd += " --no-recovery";
-    if (opt.horizon != 200000)
+    if (opt.horizon != Options{}.horizon)
         cmd += " --horizon " + std::to_string(opt.horizon);
+    if (opt.budget != Options{}.budget)
+        cmd += " --budget " + std::to_string(opt.budget);
     return cmd;
 }
 
@@ -117,15 +107,6 @@ printCell(const chaos::CellResult &r)
                   << ", delayed " << r.modFlushDelayed
                   << "), coalesced-satisfied "
                   << r.coalescedSatisfied;
-    if (r.ckptSnapshots != 0 || r.rollbackRetries != 0 ||
-        r.crashRecovered)
-        std::cout << "\n  checkpoint: snapshots " << r.ckptSnapshots
-                  << ", corrupt-detected " << r.ckptCorruptDetected
-                  << ", fallbacks " << r.ckptFallbacks
-                  << ", rollback retries " << r.rollbackRetries
-                  << " (replayed " << r.rollbackEventsReplayed
-                  << " events)"
-                  << (r.crashRecovered ? ", crash recovered" : "");
     std::cout << '\n';
 }
 
@@ -147,24 +128,6 @@ runReplay(const Options &opt)
     cc.finalDrain = !opt.noRecovery;
     cc.horizon = opt.horizon;
     cc.eventBudget = opt.budget;
-    cc.ckptEvery = opt.checkpointEvery;
-    cc.crashAtEvent = opt.crashAt;
-    cc.restoreFrom = opt.restorePath;
-    if (!opt.ckptDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opt.ckptDir, ec);
-        if (ec) {
-            std::cerr << "cannot create " << opt.ckptDir << ": "
-                      << ec.message() << '\n';
-            return 2;
-        }
-        cc.ckptPathBase = opt.ckptDir + "/replay_" +
-                          std::string(chaos::scenarioName(cc.kind)) +
-                          "_" + std::to_string(cc.seed) + ".ckpt";
-        // Snapshots written on explicit request are the product:
-        // keep them so a later --restore can resume from them.
-        cc.ckptKeepFiles = true;
-    }
 
     chaos::CellResult r = chaos::runCell(cc);
     std::cout << "replay " << chaos::scenarioName(cc.kind)
@@ -199,17 +162,6 @@ runGridMain(const Options &opt)
     gc.shrinkFailures = !opt.noShrink;
     gc.horizon = opt.horizon;
     gc.eventBudget = opt.budget;
-    gc.ckptDir = opt.ckptDir;
-    gc.ckptEvery = opt.checkpointEvery;
-    if (!opt.ckptDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opt.ckptDir, ec);
-        if (ec) {
-            std::cerr << "cannot create " << opt.ckptDir << ": "
-                      << ec.message() << '\n';
-            return 2;
-        }
-    }
 
     chaos::GridOutcome out = chaos::runGrid(gc);
 
@@ -245,8 +197,7 @@ runGridMain(const Options &opt)
             // different binary is the classic silent-divergence
             // trap, so record the producer (cf. --version).
             f << "# built-by: " << ckpt::kBuildGitSha << " ("
-              << ckpt::kBuildType << "), snapshot format "
-              << ckpt::kFormatVersion << '\n';
+              << ckpt::kBuildType << ")\n";
             f << replayCommand(rep, opt) << '\n';
             for (const auto &v : rep.result.violations)
                 f << "# " << v << '\n';
@@ -288,11 +239,6 @@ main(int argc, char **argv)
               opt.noRecovery)
         .flag("--no-shrink", "report failing schedules unshrunk",
               opt.noShrink)
-        .uint("--checkpoint-every", "N",
-              "snapshot each cell every N fired events",
-              opt.checkpointEvery, 1)
-        .text("--ckpt-dir", "DIR", "keep snapshots on disk in DIR",
-              opt.ckptDir)
         .text("--out-dir", "DIR", "write one .repro file per failure",
               opt.outDir)
         .flag("--quiet", "print only failures", opt.quiet)
@@ -301,22 +247,8 @@ main(int argc, char **argv)
               opt.replay)
         .uint("--seed", "S", "replay: the cell's fault seed", opt.seed)
         .text("--schedule", "TEXT", "replay: the fault schedule",
-              opt.schedule)
-        .uint("--crash-at", "K", "replay: simulate a kill after K events",
-              opt.crashAt, 1)
-        .file("--restore", "replay: resume from a snapshot",
-              opt.restorePath);
+              opt.schedule);
     flags.parse(argc, argv);
-    if (!opt.restorePath.empty() && !opt.replay) {
-        std::cerr << "--restore is a --replay flag (a snapshot "
-                     "resumes one cell, not a grid)\n";
-        return 2;
-    }
-    if (opt.crashAt != 0 && !opt.replay) {
-        std::cerr << "--crash-at is a --replay flag (grid cells "
-                     "pick seed-determined crash points)\n";
-        return 2;
-    }
     if (opt.list) {
         for (std::size_t i = 0; i < chaos::kNumScenarios; ++i)
             std::cout << chaos::scenarioName(
