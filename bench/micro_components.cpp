@@ -1,70 +1,23 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the substrate components:
- * LPM lookup, skiplist operations, histogram recording, event-queue
- * throughput, cache-model access, branch-predictor updates and the
- * 256-bit vector bitmap. These measure the *simulator's* own
- * performance, guarding against regressions that would make the
- * figure benches impractically slow.
+ * histogram recording, event-queue throughput, cache-model access,
+ * branch-predictor updates and the 256-bit vector bitmap. These
+ * measure the *simulator's* own performance, guarding against
+ * regressions that would make the figure benches impractically
+ * slow.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "des/event_queue.hh"
 #include "intr/bitset256.hh"
-#include "kv/skiplist.hh"
-#include "net/lpm.hh"
-#include "net/traffic.hh"
 #include "stats/histogram.hh"
 #include "stats/rng.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
 
 using namespace xui;
-
-static void
-BM_LpmLookup(benchmark::State &state)
-{
-    Rng rng(1);
-    LpmTable table(512);
-    auto routes = installRandomRoutes(
-        table, static_cast<std::size_t>(state.range(0)), rng);
-    std::vector<std::uint32_t> probes;
-    for (int i = 0; i < 4096; ++i)
-        probes.push_back(randomCoveredIp(routes, rng));
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            table.lookup(probes[i++ & 4095]));
-    }
-}
-BENCHMARK(BM_LpmLookup)->Arg(1000)->Arg(16000);
-
-static void
-BM_SkipListGet(benchmark::State &state)
-{
-    SkipList list;
-    const std::uint64_t n =
-        static_cast<std::uint64_t>(state.range(0));
-    for (std::uint64_t i = 0; i < n; ++i)
-        list.put("key" + std::to_string(i), "value");
-    Rng rng(2);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            list.get("key" + std::to_string(rng.nextBounded(n))));
-    }
-}
-BENCHMARK(BM_SkipListGet)->Arg(1000)->Arg(100000);
-
-static void
-BM_SkipListPut(benchmark::State &state)
-{
-    SkipList list;
-    std::uint64_t i = 0;
-    for (auto _ : state)
-        list.put("key" + std::to_string(i++), "value");
-}
-BENCHMARK(BM_SkipListPut);
 
 static void
 BM_HistogramRecord(benchmark::State &state)

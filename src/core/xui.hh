@@ -44,9 +44,7 @@
 #include "des/time.hh"
 #include "kv/kvstore.hh"
 #include "kv/server.hh"
-#include "kv/skiplist.hh"
 #include "net/l3fwd.hh"
-#include "net/lpm.hh"
 #include "net/packet.hh"
 #include "net/ring.hh"
 #include "net/traffic.hh"

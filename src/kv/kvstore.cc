@@ -1,49 +1,19 @@
 #include "kv/kvstore.hh"
 
-#include <cstdio>
-
 namespace xui
 {
 
-KvStore::KvStore(const KvWorkloadParams &params, std::uint64_t seed)
-    : params_(params), data_(seed)
-{}
-
-std::string
-KvStore::keyFor(std::uint64_t i)
+namespace
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "key%012llu",
-                  static_cast<unsigned long long>(i));
-    return buf;
-}
 
-void
-KvStore::preload()
-{
-    for (std::uint64_t i = 0; i < params_.numKeys; ++i)
-        data_.put(keyFor(i), "value" + std::to_string(i));
-}
+/**
+ * Size of the key space a request addresses. No key is kept, but
+ * each request still draws one: the draw advances the stream, and
+ * dropping it would move every later op draw.
+ */
+constexpr std::uint64_t kKeySpace = 10000;
 
-Cycles
-KvStore::execute(const KvRequest &req)
-{
-    switch (req.op) {
-      case KvOp::Get:
-        (void)data_.get(req.key);
-        return req.serviceTime ? req.serviceTime
-                               : params_.getServiceTime;
-      case KvOp::Scan:
-        (void)data_.scan(req.key, params_.scanLimit);
-        return req.serviceTime ? req.serviceTime
-                               : params_.scanServiceTime;
-      case KvOp::Put:
-        data_.put(req.key, "v");
-        return req.serviceTime ? req.serviceTime
-                               : params_.getServiceTime;
-    }
-    return params_.getServiceTime;
-}
+} // namespace
 
 KvLoadGen::KvLoadGen(const KvWorkloadParams &params, double rate_rps,
                      Rng rng)
@@ -64,8 +34,7 @@ KvLoadGen::next()
     req.op = is_get ? KvOp::Get : KvOp::Scan;
     req.serviceTime = is_get ? params_.getServiceTime
                              : params_.scanServiceTime;
-    req.key = KvStore::keyFor(
-        rng_.nextBounded(params_.numKeys ? params_.numKeys : 1));
+    (void)rng_.nextBounded(kKeySpace);
     return req;
 }
 

@@ -17,8 +17,6 @@ runKvServer(const KvServerConfig &config)
         hook = std::make_unique<DesTraceHook>(*config.traceOut);
         hook->attach(sim.queue());
     }
-    KvStore store(config.workload, config.seed ^ 0xdb);
-    store.preload();
     Runtime runtime(sim, config.costs, config.workerCores,
                     config.mode, config.quantum);
     if (config.adaptive.enabled()) {
@@ -41,10 +39,10 @@ runKvServer(const KvServerConfig &config)
         if (req.arrival >= config.duration)
             break;
         ++offered;
-        sim.queue().scheduleAt(req.arrival, [&, req]() mutable {
+        sim.queue().scheduleAt(req.arrival, [&, req] {
             // The UDP request reaches the server; the runtime gets a
-            // uthread whose work is the store's service time.
-            store.execute(req);
+            // uthread whose work is the request's modelled service
+            // time.
             UThread t;
             t.id = req.id;
             t.tag = req.op == KvOp::Scan ? 1 : 0;

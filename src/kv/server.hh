@@ -1,8 +1,9 @@
 /**
  * @file
  * End-to-end KV server simulation (Fig. 7): open-loop load generator
- * feeding a KV store served by the user-level runtime under a chosen
- * preemption mechanism. Records per-type latency distributions.
+ * feeding requests, each with its modelled service time, to the
+ * user-level runtime under a chosen preemption mechanism. Records
+ * per-type latency distributions.
  */
 
 #ifndef XUI_KV_SERVER_HH

@@ -13,11 +13,10 @@ namespace xui
 L3Fwd::L3Fwd(const L3FwdConfig &config)
     : config_(config),
       sim_(config.seed),
-      table_(512),
       rng_(sim_.makeRng())
 {
     assert(config.numNics >= 1);
-    routes_ = installRandomRoutes(table_, config_.routeCount, rng_);
+    routes_ = randomRoutes(config_.routeCount, rng_);
     for (unsigned i = 0; i < config_.numNics; ++i)
         nics_.push_back(std::make_unique<Nic>(config_.queueDepth));
 
@@ -189,10 +188,6 @@ L3Fwd::serviceLoop()
     bool ok = nics_[static_cast<unsigned>(q)]->poll(pkt);
     assert(ok);
     (void)ok;
-
-    // The real forwarding work: LPM route lookup.
-    LpmTable::NextHop hop = table_.lookup(pkt.dstIp);
-    (void)hop;
 
     networkingCycles_ += config_.costs.packetProcess;
     sim_.queue().scheduleAfter(

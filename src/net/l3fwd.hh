@@ -1,9 +1,11 @@
 /**
  * @file
  * Layer-3 forwarding application (DPDK l3fwd reproduction, Fig. 8):
- * one core serving 1..8 NIC RX queues, routing 64-byte packets
- * through a real DIR-24-8 LPM table, comparing spin-polling RX
- * against xUI interrupt forwarding.
+ * one core serving 1..8 NIC RX queues, forwarding 64-byte packets
+ * addressed at a 16,000-route list, comparing spin-polling RX against
+ * xUI interrupt forwarding. The route lookup and the rest of the
+ * per-packet work are modelled as one cost (CostModel::packetProcess),
+ * not executed.
  */
 
 #ifndef XUI_NET_L3FWD_HH
@@ -15,7 +17,6 @@
 
 #include "des/simulation.hh"
 #include "intr/policy.hh"
-#include "net/lpm.hh"
 #include "net/packet.hh"
 #include "net/traffic.hh"
 #include "os/cost_model.hh"
@@ -118,9 +119,6 @@ class L3Fwd
     /** Run to completion and collect results. */
     L3FwdResult run();
 
-    /** The routing table (available for inspection / examples). */
-    LpmTable &table() { return table_; }
-
   private:
     void onArrival(unsigned nic, Packet pkt);
     void serviceLoop();
@@ -139,7 +137,6 @@ class L3Fwd
 
     L3FwdConfig config_;
     Simulation sim_;
-    LpmTable table_;
     std::vector<RouteSpec> routes_;
     std::vector<std::unique_ptr<Nic>> nics_;
     /** Per-NIC moderators (null = unmoderated). */

@@ -5,18 +5,31 @@
 namespace xui
 {
 
+namespace
+{
+
+/**
+ * Distinct /24s that may hold routes longer than /24. A DIR-24-8
+ * table expands each such /24 into one 256-entry tbl8 group, and the
+ * route set is drawn for a table of 512 groups.
+ */
+constexpr std::size_t kTbl8Groups = 512;
+
+} // namespace
+
 std::vector<RouteSpec>
-installRandomRoutes(LpmTable &table, std::size_t count, Rng &rng)
+randomRoutes(std::size_t count, Rng &rng)
 {
     std::vector<RouteSpec> routes;
     routes.reserve(count);
     // Real route tables have unique prefixes; duplicates would also
     // make longest-prefix results order-dependent.
     std::unordered_set<std::uint64_t> seen;
+    std::unordered_set<std::uint32_t> deep_slash24s;
     while (routes.size() < count) {
         RouteSpec r;
-        // Depth mix biased toward /16../24 like Internet tables;
-        // a slice of >/24 routes exercises the tbl8 path.
+        // Depth mix biased toward /16../24 like Internet tables,
+        // plus a slice of >/24 routes.
         std::uint64_t roll = rng.nextBounded(100);
         if (roll < 10)
             r.depth = static_cast<unsigned>(8 + rng.nextBounded(8));
@@ -29,16 +42,21 @@ installRandomRoutes(LpmTable &table, std::size_t count, Rng &rng)
             ? 0xffffffffu
             : ~(0xffffffffu >> r.depth);
         r.prefix &= mask;
-        r.nextHop = static_cast<LpmTable::NextHop>(
-            rng.nextBounded(256));
+        r.nextHop = static_cast<std::uint16_t>(rng.nextBounded(256));
         std::uint64_t key =
             (static_cast<std::uint64_t>(r.prefix) << 6) | r.depth;
         if (!seen.insert(key).second)
             continue;
-        if (table.addRoute(r.prefix, r.depth, r.nextHop))
-            routes.push_back(r);
-        else if (table.tbl8InUse() == 0 && r.depth > 24)
-            continue;  // tbl8 exhausted; retry with another depth
+        if (r.depth > 24) {
+            // A deep route shares its /24's group or needs a new
+            // one; once all groups are taken the draw is discarded.
+            std::uint32_t slash24 = r.prefix >> 8;
+            if (deep_slash24s.size() >= kTbl8Groups &&
+                !deep_slash24s.contains(slash24))
+                continue;
+            deep_slash24s.insert(slash24);
+        }
+        routes.push_back(r);
     }
     return routes;
 }

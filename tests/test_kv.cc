@@ -1,173 +1,21 @@
 /**
  * @file
- * KV-store tests: skiplist correctness against a std::map oracle
- * (property tests over random operation streams), workload
- * generation statistics, and the Fig. 7 server simulation shape.
+ * KV workload tests: load-generator statistics, a pinned digest of
+ * the request stream, and the Fig. 7 server simulation shape.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
-
 #include "kv/kvstore.hh"
 #include "kv/server.hh"
-#include "kv/skiplist.hh"
+#include "stats/digest.hh"
 #include "stats/rng.hh"
 
 using namespace xui;
 
 // ----------------------------------------------------------------------
-// SkipList
+// Load generator
 // ----------------------------------------------------------------------
-
-TEST(SkipList, EmptyBehaviour)
-{
-    SkipList s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_FALSE(s.get("a").has_value());
-    EXPECT_FALSE(s.erase("a"));
-    EXPECT_TRUE(s.scan("", 10).empty());
-}
-
-TEST(SkipList, PutGetOverwrite)
-{
-    SkipList s;
-    EXPECT_TRUE(s.put("k", "v1"));
-    EXPECT_EQ(s.get("k").value(), "v1");
-    EXPECT_FALSE(s.put("k", "v2"));  // overwrite, not new
-    EXPECT_EQ(s.get("k").value(), "v2");
-    EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(SkipList, EraseRemoves)
-{
-    SkipList s;
-    s.put("a", "1");
-    s.put("b", "2");
-    EXPECT_TRUE(s.erase("a"));
-    EXPECT_FALSE(s.get("a").has_value());
-    EXPECT_FALSE(s.erase("a"));
-    EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(SkipList, ScanOrderedFromStart)
-{
-    SkipList s;
-    for (int i : {5, 3, 9, 1, 7})
-        s.put("k" + std::to_string(i), std::to_string(i));
-    auto out = s.scan("k3", 3);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0].first, "k3");
-    EXPECT_EQ(out[1].first, "k5");
-    EXPECT_EQ(out[2].first, "k7");
-}
-
-TEST(SkipList, ScanLimitRespected)
-{
-    SkipList s;
-    for (int i = 0; i < 100; ++i)
-        s.put(KvStore::keyFor(static_cast<std::uint64_t>(i)), "v");
-    EXPECT_EQ(s.scan("", 10).size(), 10u);
-    EXPECT_EQ(s.scan(KvStore::keyFor(95), 10).size(), 5u);
-}
-
-class SkipListOracle : public ::testing::TestWithParam<std::uint64_t>
-{};
-
-TEST_P(SkipListOracle, MatchesStdMapUnderRandomOps)
-{
-    Rng rng(GetParam());
-    SkipList s(GetParam() ^ 0xabc);
-    std::map<std::string, std::string> oracle;
-
-    for (int op = 0; op < 4000; ++op) {
-        std::string key =
-            "k" + std::to_string(rng.nextBounded(300));
-        switch (rng.nextBounded(4)) {
-          case 0:
-          case 1: {  // put
-            std::string val = "v" + std::to_string(op);
-            bool fresh = s.put(key, val);
-            bool oracle_fresh = oracle.find(key) == oracle.end();
-            EXPECT_EQ(fresh, oracle_fresh);
-            oracle[key] = val;
-            break;
-          }
-          case 2: {  // get
-            auto got = s.get(key);
-            auto it = oracle.find(key);
-            if (it == oracle.end()) {
-                EXPECT_FALSE(got.has_value());
-            } else {
-                ASSERT_TRUE(got.has_value());
-                EXPECT_EQ(*got, it->second);
-            }
-            break;
-          }
-          case 3: {  // erase
-            bool removed = s.erase(key);
-            EXPECT_EQ(removed, oracle.erase(key) > 0);
-            break;
-          }
-        }
-        EXPECT_EQ(s.size(), oracle.size());
-    }
-
-    // Final full-ordered comparison via scan.
-    auto all = s.scan("", oracle.size() + 10);
-    ASSERT_EQ(all.size(), oracle.size());
-    auto it = oracle.begin();
-    for (const auto &[k, v] : all) {
-        EXPECT_EQ(k, it->first);
-        EXPECT_EQ(v, it->second);
-        ++it;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SkipListOracle,
-                         ::testing::Values(1, 7, 42, 1337, 9001));
-
-TEST(SkipList, LevelBounded)
-{
-    SkipList s;
-    for (int i = 0; i < 20000; ++i)
-        s.put(KvStore::keyFor(static_cast<std::uint64_t>(i)), "v");
-    EXPECT_LE(s.level(), SkipList::kMaxLevel);
-    EXPECT_GE(s.level(), 4u);  // statistically certain at 20k keys
-}
-
-// ----------------------------------------------------------------------
-// KvStore / load generator
-// ----------------------------------------------------------------------
-
-TEST(KvStore, PreloadPopulates)
-{
-    KvWorkloadParams params;
-    params.numKeys = 500;
-    KvStore store(params);
-    store.preload();
-    EXPECT_EQ(store.data().size(), 500u);
-    EXPECT_TRUE(store.data().get(KvStore::keyFor(123)).has_value());
-}
-
-TEST(KvStore, ExecuteReturnsServiceTimes)
-{
-    KvWorkloadParams params;
-    params.numKeys = 10;
-    KvStore store(params);
-    store.preload();
-    KvRequest get;
-    get.op = KvOp::Get;
-    get.key = KvStore::keyFor(1);
-    get.serviceTime = params.getServiceTime;
-    EXPECT_EQ(store.execute(get), usToCycles(1.2));
-    KvRequest scan;
-    scan.op = KvOp::Scan;
-    scan.key = KvStore::keyFor(0);
-    scan.serviceTime = params.scanServiceTime;
-    EXPECT_EQ(store.execute(scan), usToCycles(580));
-}
 
 TEST(KvLoadGen, MixAndRateMatchConfig)
 {
@@ -187,6 +35,44 @@ TEST(KvLoadGen, MixAndRateMatchConfig)
     double span_us = cyclesToUs(last);
     EXPECT_NEAR(span_us, n * 10.0, n * 10.0 * 0.05);
     EXPECT_GT(scans, 0u);
+}
+
+TEST(KvLoadGen, RequestStreamPinned)
+{
+    // FNV digests of the first 10k requests (id, arrival, op, service
+    // time). At getFraction 0.5 every op draw exposes one bit of the
+    // generator's stream, so a change in how many values a request
+    // takes from it (e.g. dropping its key draw) moves the digest.
+    struct Pin
+    {
+        double getFraction;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {0.995, 1, 0xa97ba94f110a751eull},
+        {0.995, 2, 0xc1b6e803f2a91715ull},
+        {0.995, 3, 0x46fb49ce3636c769ull},
+        {0.5, 1, 0x9107f473736cda90ull},
+        {0.5, 2, 0x7b07ddce101e1f1dull},
+        {0.5, 3, 0xdbcc8a57f01d25abull},
+    };
+    for (const Pin &pin : pins) {
+        KvWorkloadParams params;
+        params.getFraction = pin.getFraction;
+        KvLoadGen gen(params, 100000.0, Rng(pin.seed));
+        Fnv1a h;
+        for (int i = 0; i < 10000; ++i) {
+            KvRequest r = gen.next();
+            h.update(r.id);
+            h.update(r.arrival);
+            h.update(static_cast<std::uint64_t>(r.op));
+            h.update(r.serviceTime);
+        }
+        EXPECT_EQ(h.value(), pin.digest)
+            << "getFraction " << pin.getFraction << " seed "
+            << pin.seed;
+    }
 }
 
 // ----------------------------------------------------------------------
