@@ -539,6 +539,8 @@ writeParallelJson(const char *path,
     std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "  \"seed\": %llu,\n",
                  static_cast<unsigned long long>(seed));
+    // The ladder only means something next to the host's width.
+    std::fprintf(f, "  \"nproc\": %u,\n", exec::hardwareJobs());
     std::fprintf(f, "  \"corpus_sims\": %zu,\n",
                  points.empty() ? std::size_t{0} : points[0].sims);
     std::fprintf(f, "  \"digest\": \"%016llx\",\n",

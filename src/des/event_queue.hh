@@ -156,10 +156,6 @@ class SmallCallback
 class EventQueue
 {
   public:
-    /** Compatibility alias; any callable converts via the template
-     * overloads below without a std::function round-trip. */
-    using Callback = std::function<void()>;
-
     EventQueue();
     ~EventQueue();
 

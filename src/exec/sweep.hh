@@ -18,8 +18,8 @@
  *    first-failure reporting, table rendering, JSON export — are
  *    deterministic too;
  *  - `jobs == 1` runs everything inline on the calling thread with
- *    no pool and no synchronization: the exact legacy serial path,
- *    run(i) immediately followed by reduce(i).
+ *    no threads and no synchronization: the exact legacy serial
+ *    path, run(i) immediately followed by reduce(i).
  *
  * The reduction is streaming: job i is reduced as soon as it and
  * every lower-indexed job have finished, while higher-indexed jobs
@@ -30,17 +30,17 @@
 #define XUI_EXEC_SWEEP_HH
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "exec/thread_pool.hh"
 
 namespace xui::exec
 {
@@ -57,7 +57,9 @@ unsigned effectiveJobs(unsigned requested);
  * results in job-index order on the calling thread (see file
  * comment for the determinism contract). An exception thrown by a
  * job is rethrown to the caller from the lowest-indexed failing
- * job, after every in-flight job has drained.
+ * job, as is one thrown by `reduce`; either way no further job
+ * starts, and the jobs already running finish and their workers
+ * are joined before the exception leaves.
  */
 template <typename RunFn, typename ReduceFn>
 void
@@ -67,7 +69,7 @@ sweepReduce(std::size_t n, unsigned jobs, RunFn &&run,
     using R = std::invoke_result_t<RunFn &, std::size_t>;
     jobs = effectiveJobs(jobs);
     if (jobs <= 1 || n <= 1) {
-        // Legacy serial path: no pool, no threads, no locks.
+        // Legacy serial path: no threads, no locks.
         for (std::size_t i = 0; i < n; ++i)
             reduce(i, run(i));
         return;
@@ -77,45 +79,58 @@ sweepReduce(std::size_t n, unsigned jobs, RunFn &&run,
     {
         std::optional<R> result;
         std::exception_ptr error;
+        bool done = false;
     };
     std::vector<Slot> slots(n);
-    std::vector<char> done(n, 0);
     std::mutex mu;
     std::condition_variable done_cv;
+    // The one job cursor: each worker claims the next unstarted
+    // index. Moving it to n stops every further job from starting.
+    std::atomic<std::size_t> cursor{0};
 
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, n)));
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&, i] {
-                Slot s;
-                try {
-                    s.result.emplace(run(i));
-                } catch (...) {
-                    s.error = std::current_exception();
-                }
-                {
-                    std::lock_guard<std::mutex> lk(mu);
-                    slots[i] = std::move(s);
-                    done[i] = 1;
-                }
-                done_cv.notify_all();
-            });
+    const auto work = [&] {
+        for (std::size_t i = cursor.fetch_add(1); i < n;
+             i = cursor.fetch_add(1)) {
+            Slot s;
+            try {
+                s.result.emplace(run(i));
+            } catch (...) {
+                s.error = std::current_exception();
+            }
+            s.done = true;
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                slots[i] = std::move(s);
+            }
+            done_cv.notify_all();
         }
+    };
+
+    // Declared after everything `work` touches, so on every exit path
+    // the jthread destructors join before that state is destroyed.
+    std::vector<std::jthread> workers;
+    try {
+        const std::size_t threads = std::min<std::size_t>(jobs, n);
+        workers.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            workers.emplace_back(work);
         for (std::size_t i = 0; i < n; ++i) {
             Slot s;
             {
                 std::unique_lock<std::mutex> lk(mu);
-                done_cv.wait(lk, [&] { return done[i] != 0; });
+                done_cv.wait(lk, [&] { return slots[i].done; });
                 s = std::move(slots[i]);
             }
-            if (s.error) {
-                pool.waitIdle();
+            if (s.error)
                 std::rethrow_exception(s.error);
-            }
             reduce(i, std::move(*s.result));
         }
-        pool.waitIdle();
+    } catch (...) {
+        // A failed job or a throwing reduce: start no further job.
+        // The workers finish the jobs they hold and are joined as
+        // the exception unwinds.
+        cursor.store(n);
+        throw;
     }
 }
 

@@ -1473,7 +1473,12 @@ OooCore::fetchStage()
 void
 OooCore::fetchProgramOp()
 {
-    assert(fetchPc_ < program_->size());
+    // Past the last op (a wrong path, or a program with no trailing
+    // Halt) fetch stops exactly as at a Halt; a squash restarts it.
+    if (fetchPc_ >= program_->size()) {
+        fetchHalted_ = true;
+        return;
+    }
     const MacroOp &op = program_->at(fetchPc_);
     std::uint32_t pc = fetchPc_;
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep engine (src/exec):
- * the work-stealing thread pool, ordered fan-out/reduce under
- * artificially shuffled completion, strict `--jobs` parsing, and
- * the engine's end-to-end contract on the verify corpus — summary,
- * rendered report, and merged metrics JSON bit-identical between
- * `--jobs 1` and `--jobs 8`, with the first reported divergence
- * always the lowest failing (program, seed) pair.
+ * ordered fan-out/reduce under artificially shuffled completion,
+ * failure propagation and worker shutdown, strict `--jobs`
+ * parsing, and the engine's end-to-end contract on the verify
+ * corpus — summary, rendered report, and merged metrics JSON
+ * bit-identical between `--jobs 1` and `--jobs 8`, with the first
+ * reported divergence always the lowest failing (program, seed)
+ * pair.
  */
 
 #include <gtest/gtest.h>
@@ -23,65 +24,9 @@
 
 #include "exec/flags.hh"
 #include "exec/sweep.hh"
-#include "exec/thread_pool.hh"
 #include "verify/corpus.hh"
 
 using namespace xui;
-
-// ----------------------------------------------------------------------
-// ThreadPool
-// ----------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    exec::ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable)
-{
-    exec::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 1);
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        exec::ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-                ran.fetch_add(1);
-            });
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, TasksRunOffTheSubmittingThread)
-{
-    exec::ThreadPool pool(2);
-    const std::thread::id self = std::this_thread::get_id();
-    std::atomic<bool> off_thread{false};
-    pool.submit([&] {
-        off_thread = std::this_thread::get_id() != self;
-    });
-    pool.waitIdle();
-    EXPECT_TRUE(off_thread.load());
-}
 
 // ----------------------------------------------------------------------
 // sweep / sweepReduce determinism contract
@@ -129,6 +74,21 @@ TEST(Sweep, ReduceOrderHoldsUnderShuffledCompletion)
     ASSERT_EQ(completionOrder.size(), n);
     EXPECT_NE(completionOrder.front(), 0u)
         << "sleep ladder failed to shuffle completion order";
+}
+
+TEST(Sweep, ParallelRunsOffTheCallingThread)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<int> onCaller{0};
+    exec::sweepReduce(
+        8, 2,
+        [&](std::size_t i) {
+            if (std::this_thread::get_id() == self)
+                onCaller.fetch_add(1);
+            return i;
+        },
+        [](std::size_t, std::size_t) {});
+    EXPECT_EQ(onCaller.load(), 0);
 }
 
 TEST(Sweep, SerialPathRunsInline)
@@ -183,6 +143,38 @@ TEST(Sweep, LowestIndexExceptionPropagates)
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "boom 2");
     }
+}
+
+TEST(Sweep, ThrowingReduceStopsAndJoinsWorkers)
+{
+    // reduce(0) throws while most of the 1000 jobs (1 ms each, two
+    // workers: at least 0.5 s of work) are still unstarted. The
+    // exception must reach the caller only after every started job
+    // has finished, and no job may start after the throw.
+    const std::size_t n = 1000;
+    std::atomic<std::size_t> started{0};
+    std::atomic<int> running{0};
+    try {
+        exec::sweepReduce(
+            n, 2,
+            [&](std::size_t i) {
+                started.fetch_add(1);
+                running.fetch_add(1);
+                if (i > 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                running.fetch_sub(1);
+                return i;
+            },
+            [](std::size_t, std::size_t) {
+                throw std::runtime_error("reduce failed");
+            });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "reduce failed");
+    }
+    EXPECT_EQ(running.load(), 0) << "a worker outlived the sweep";
+    EXPECT_LT(started.load(), n) << "jobs kept starting after the throw";
 }
 
 TEST(Sweep, SerialExceptionPropagates)

@@ -148,6 +148,21 @@ TEST(OooCore, HaltStopsCore)
     EXPECT_EQ(core.stats().committedInsts, 10u);
 }
 
+TEST(OooCore, FetchStopsAtProgramEnd)
+{
+    // No trailing Halt: running off the last op halts fetch exactly
+    // as a Halt would, and every op of the program commits once.
+    ProgramBuilder b("no_halt");
+    for (int i = 0; i < 10; ++i)
+        b.intAlu(reg::kGpr0 + 1, reg::kGpr0 + 1);
+    Program p = b.build();
+    UarchSystem sys(1);
+    OooCore &core = sys.addCore(CoreParams{}, &p);
+    core.runCycles(1000);
+    EXPECT_TRUE(core.halted());
+    EXPECT_EQ(core.stats().committedInsts, p.size());
+}
+
 TEST(OooCore, CacheMissesSlowLoads)
 {
     auto run_ws = [](std::uint64_t ws) {
