@@ -30,7 +30,8 @@
  *                program + digest instrumentation).
  *
  * Emits BENCH_simspeed.json (cwd) with per-scenario rates (plus
- * `ff_*` fields and `peak_rss_kb` per scenario); the committed copy
+ * `ff_*` fields, `peak_rss_kb` per scenario, and the DES scenarios'
+ * `pool_size` work counter); the committed copy
  * at the repo root is the reference CI's perf guard diffs against.
  *
  * A second, parallel-scaling section sweeps a corpus of fuzz
@@ -83,6 +84,9 @@ struct SpeedResult
     double wallSec = 0.0;
     /** Process peak RSS (ru_maxrss, KiB) after this scenario. */
     long peakRssKb = 0;
+    /** DES scenarios: EventQueue::poolSize() after the run, the
+     * peak number of pending events (-1 = not a DES scenario). */
+    long poolSize = -1;
 
     /** Sampled (fast-forward) companion pass, when one ran. */
     bool hasFf = false;
@@ -408,6 +412,7 @@ runTimerCoreDes(bool quick, std::uint64_t seed)
     r.simCycles = static_cast<double>(sim.now());
     r.events = static_cast<double>(sim.queue().firedCount());
     r.peakRssKb = peakRssKb();
+    r.poolSize = static_cast<long>(sim.queue().poolSize());
     return r;
 }
 
@@ -431,6 +436,7 @@ runL3FwdDes(bool quick, std::uint64_t seed)
     r.events = static_cast<double>(res.offered + res.forwarded +
                                    res.interrupts);
     r.peakRssKb = peakRssKb();
+    r.poolSize = static_cast<long>(res.eventPoolSize);
     return r;
 }
 
@@ -631,6 +637,8 @@ writeJson(const char *path, const std::vector<SpeedResult> &results,
                      r.name.c_str(), r.simCycles, r.events,
                      r.wallSec, r.cyclesPerSec(), r.eventsPerSec(),
                      r.peakRssKb);
+        if (r.poolSize >= 0)
+            std::fprintf(f, ", \"pool_size\": %ld", r.poolSize);
         if (r.hasFf) {
             std::fprintf(
                 f,

@@ -2,24 +2,25 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Internally a three-level hierarchical calendar (timing wheel):
- * level 0 resolves single cycles over a 1024-cycle horizon, level 1
- * 1024-cycle blocks over ~1M cycles, level 2 ~1M-cycle blocks over
- * ~1G cycles, plus an unsorted overflow list beyond that. Events
- * live in a free-listed pool (reused in place, no per-event heap
- * allocation) and carry their callback in small-buffer storage;
- * bucket membership is an intrusive doubly-linked list so cancel is
- * O(1) and reclaims the slot immediately. Handles are
+ * Internally an indexed 4-ary min-heap of (when, seq, slot) entries.
+ * Events live in a free-listed pool (reused in place, no per-event
+ * heap allocation) and carry their callback in small-buffer storage;
+ * each pool slot records its heap position, so cancel removes the
+ * entry at once and reclaims the slot immediately. Handles are
  * generation-checked: a reused slot invalidates stale ids, so
  * cancelling a fired or already-cancelled event returns false
- * instead of corrupting the pending count (which the old lazy
- * cancellation scheme got wrong).
+ * instead of corrupting the pending count.
  *
- * Events scheduled for the same cycle fire in scheduling order: a
- * monotonically increasing sequence number is assigned at schedule
- * time and the current cycle's bucket is drained in seq order,
- * which makes whole-system simulations reproducible regardless of
- * wheel internals.
+ * Events fire in (when, seq) order. Every event gets a sequence
+ * number at schedule time, either the next one or one reserved
+ * earlier with reserveSeqs(); same-cycle events therefore fire in
+ * scheduling order, which makes whole-system simulations
+ * reproducible regardless of queue internals.
+ *
+ * The heap costs O(log pending) per event, so it pays off only while
+ * the pending set stays small: open-loop sources feed their arrivals
+ * one at a time (ArrivalFeed in des/simulation.hh) instead of
+ * scheduling the whole run up front.
  */
 
 #ifndef XUI_DES_EVENT_QUEUE_HH
@@ -27,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <new>
 #include <type_traits>
@@ -152,12 +152,11 @@ class SmallCallback
     const Ops *ops_ = nullptr;
 };
 
-/** Hierarchical calendar queue with stable same-cycle ordering. */
+/** Indexed 4-ary heap of events with stable same-cycle ordering. */
 class EventQueue
 {
   public:
-    EventQueue();
-    ~EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -174,7 +173,22 @@ class EventQueue
     EventId
     scheduleAt(Cycles when, F &&cb)
     {
-        return scheduleImpl(when, SmallCallback(std::forward<F>(cb)));
+        return scheduleImpl(when, nextSeq_++,
+                            SmallCallback(std::forward<F>(cb)));
+    }
+
+    /**
+     * Schedule a callback at an absolute time under a sequence
+     * number taken from reserveSeqs(). It fires exactly where an
+     * event scheduled at reservation time would have.
+     * @pre when >= now(); seq reserved and not used before.
+     */
+    template <typename F>
+    EventId
+    scheduleAt(Cycles when, std::uint64_t seq, F &&cb)
+    {
+        return scheduleImpl(when, seq,
+                            SmallCallback(std::forward<F>(cb)));
     }
 
     /** Schedule a callback delta cycles from now. */
@@ -182,23 +196,36 @@ class EventQueue
     EventId
     scheduleAfter(Cycles delta, F &&cb)
     {
-        return scheduleImpl(now_ + delta,
+        return scheduleImpl(now_ + delta, nextSeq_++,
                             SmallCallback(std::forward<F>(cb)));
     }
 
     /**
-     * Cancel a previously scheduled event: O(1) unlink, slot
-     * reclaimed immediately.
+     * Reserve `n` consecutive sequence numbers for later
+     * scheduleAt(when, seq, cb) calls.
+     * @return the first reserved number.
+     */
+    std::uint64_t
+    reserveSeqs(std::uint64_t n)
+    {
+        std::uint64_t first = nextSeq_;
+        nextSeq_ += n;
+        return first;
+    }
+
+    /**
+     * Cancel a previously scheduled event: the heap entry is removed
+     * and the slot reclaimed immediately.
      * @return true if the event was still pending (stale, fired,
      *         cancelled, and invalid handles all return false).
      */
     bool cancel(EventId id);
 
     /** Number of live pending events. */
-    std::size_t pending() const { return live_; }
+    std::size_t pending() const { return heap_.size(); }
 
     /** True when no live events remain. */
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /**
      * Observer invoked just before each event fires, with the
@@ -217,12 +244,13 @@ class EventQueue
 
     /**
      * Exact fire time of the next pending event without firing it
-     * (kNoPending when the queue is empty). Non-const: maintains the
-     * overflow-min cache and prunes cancelled entries from the
-     * active same-cycle drain list, neither of which is observable
-     * through the firing order.
+     * (kNoPending when the queue is empty).
      */
-    Cycles peekNextTime();
+    Cycles
+    peekNextTime() const
+    {
+        return heap_.empty() ? kNoPending : heap_.front().when;
+    }
 
     /** One pending event, as seen by diagnostics. */
     struct PendingEvent
@@ -233,8 +261,8 @@ class EventQueue
 
     /**
      * Snapshot of pending events sorted by (when, seq), truncated to
-     * `max` entries (0 = all). O(pool) — diagnostics only (watchdog
-     * hang reports), never a hot path.
+     * `max` entries (0 = all). Diagnostics only (watchdog hang
+     * reports), never a hot path.
      */
     std::vector<PendingEvent> pendingSnapshot(std::size_t max = 0)
         const;
@@ -267,38 +295,29 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr Cycles kNoEvent = ~Cycles(0);
-
-    static constexpr unsigned kBucketBits = 10;
-    static constexpr unsigned kBuckets = 1u << kBucketBits;
-    static constexpr unsigned kBucketMask = kBuckets - 1;
-    static constexpr unsigned kWords = kBuckets / 64;
-    /** Levels 0..2 are wheel levels; 3 is the overflow list. */
-    static constexpr unsigned kLevels = 3;
-    static constexpr std::uint8_t kOverflow = kLevels;
-    static constexpr std::uint8_t kUnlinked = 0xff;
 
     struct Event
     {
-        Cycles when = 0;
-        std::uint64_t seq = 0;
         SmallCallback cb;
         std::uint32_t gen = 1;
-        std::uint32_t next = kNil;
-        std::uint32_t prev = kNil;
-        /** Wheel level (0..2), kOverflow, or kUnlinked (free /
-         * being fired). */
-        std::uint8_t level = kUnlinked;
-        std::uint16_t bucket = 0;
+        /** Heap position while pending, kNil otherwise. */
+        std::uint32_t pos = kNil;
+        /** Free-list link while free. */
+        std::uint32_t nextFree = kNil;
     };
 
-    /** Sorted drain list for the current cycle's bucket. */
-    struct ScratchRef
+    struct HeapEntry
     {
+        Cycles when;
         std::uint64_t seq;
-        std::uint32_t idx;
-        std::uint32_t gen;
+        std::uint32_t slot;
     };
+
+    static bool
+    before(const HeapEntry &a, const HeapEntry &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
 
     static EventId
     makeId(std::uint32_t idx, std::uint32_t gen)
@@ -306,43 +325,27 @@ class EventQueue
         return (static_cast<EventId>(gen) << 32) | idx;
     }
 
-    EventId scheduleImpl(Cycles when, SmallCallback cb);
+    EventId scheduleImpl(Cycles when, std::uint64_t seq,
+                         SmallCallback cb);
     std::uint32_t allocEvent();
     void freeEvent(std::uint32_t idx);
-    /** Link into the wheel level/bucket for `when` given now_. */
-    void place(std::uint32_t idx);
-    void unlink(std::uint32_t idx);
-    /** Exact earliest pending fire time (kNoEvent when empty). */
-    Cycles nextEventTime();
-    /** Min `when` over a bucket chain (kNoEvent when empty). */
-    Cycles chainMin(std::uint32_t head) const;
-    /** Re-place entries of current L1/L2/overflow buckets after
-     * now_ advanced. */
-    void cascadeAt(Cycles t);
-    /** Build the sorted same-cycle drain list for now_. */
-    void buildScratch();
-    /** Resolve the next firing event; kNil when empty. Advances
-     * now_ to the fire time. */
-    std::uint32_t popNext();
+    /** Store `e` at heap position `pos` and record it in its slot. */
+    void put(std::uint32_t pos, const HeapEntry &e);
+    /** Move `e` up from the hole at `pos` to its place. */
+    void siftUp(std::uint32_t pos, const HeapEntry &e);
+    /** Move `e` down from the hole at `pos` to its place. */
+    void siftDown(std::uint32_t pos, const HeapEntry &e);
+    /** Remove the heap entry at `pos`. */
+    void removeAt(std::uint32_t pos);
 
-    std::deque<Event> pool_;
+    std::vector<Event> pool_;
     std::uint32_t freeHead_ = kNil;
-
-    std::uint32_t heads_[kLevels][kBuckets];
-    std::uint64_t bits_[kLevels][kWords];
-    std::uint32_t overflowHead_ = kNil;
-    Cycles overflowMin_ = kNoEvent;
-    bool overflowMinValid_ = true;
-
-    std::vector<ScratchRef> scratch_;
-    std::size_t scratchPos_ = 0;
-    Cycles scratchWhen_ = kNoEvent;
+    std::vector<HeapEntry> heap_;
 
     FireHook fireHook_;
-    Cycles now_;
-    std::uint64_t nextSeq_;
+    Cycles now_ = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
-    std::size_t live_;
 };
 
 } // namespace xui

@@ -1,5 +1,6 @@
 #include "des/simulation.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace xui
@@ -53,6 +54,38 @@ PeriodicEvent::fire()
     // Only reschedule if the callback did not restart/stop us.
     if (pending_ == kInvalidEventId)
         pending_ = queue_.scheduleAfter(period_, [this] { fire(); });
+}
+
+ArrivalFeed::ArrivalFeed(EventQueue &queue, std::vector<Cycles> times,
+                         Callback cb)
+    : queue_(queue), times_(std::move(times)), cb_(std::move(cb)),
+      firstSeq_(queue.reserveSeqs(times_.size()))
+{
+    assert(std::is_sorted(times_.begin(), times_.end()));
+    if (!times_.empty())
+        scheduleNext();
+}
+
+ArrivalFeed::~ArrivalFeed()
+{
+    queue_.cancel(pending_);
+}
+
+void
+ArrivalFeed::scheduleNext()
+{
+    pending_ = queue_.scheduleAt(times_[next_], firstSeq_ + next_,
+                                 [this] { fire(); });
+}
+
+void
+ArrivalFeed::fire()
+{
+    std::size_t k = next_++;
+    pending_ = kInvalidEventId;
+    if (next_ < times_.size())
+        scheduleNext();
+    cb_(k);
 }
 
 } // namespace xui

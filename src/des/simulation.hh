@@ -1,14 +1,16 @@
 /**
  * @file
  * Simulation context: event queue + master RNG + periodic-event
- * helper. Every DES-tier model (kernel, runtime, NIC, accelerator)
- * holds a reference to one Simulation.
+ * and arrival-feed helpers. Every DES-tier model (kernel, runtime,
+ * NIC, accelerator) holds a reference to one Simulation.
  */
 
 #ifndef XUI_DES_SIMULATION_HH
 #define XUI_DES_SIMULATION_HH
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "des/event_queue.hh"
 #include "des/time.hh"
@@ -42,7 +44,7 @@ class Simulation
      * cycle tier can bulk-advance to just short of this time instead
      * of interleaving with an idle DES tier every cycle.
      */
-    Cycles nextEventAt() { return queue_.peekNextTime(); }
+    Cycles nextEventAt() const { return queue_.peekNextTime(); }
 
   private:
     EventQueue queue_;
@@ -90,6 +92,39 @@ class PeriodicEvent
     Cycles period_;
     Callback cb_;
     EventId pending_;
+};
+
+/**
+ * Open-loop arrival stream fed lazily: arrival k runs at times[k]
+ * (non-decreasing), and firing it schedules arrival k + 1, so the
+ * source holds one pending event however long its stream is. The
+ * feed reserves one sequence number per arrival at construction and
+ * schedules each arrival under its own, so the firing order is
+ * exactly that of scheduling every arrival at construction time.
+ */
+class ArrivalFeed
+{
+  public:
+    /** Runs arrival k; the clock then reads times[k]. */
+    using Callback = std::function<void(std::size_t k)>;
+
+    ArrivalFeed(EventQueue &queue, std::vector<Cycles> times,
+                Callback cb);
+    ~ArrivalFeed();
+
+    ArrivalFeed(const ArrivalFeed &) = delete;
+    ArrivalFeed &operator=(const ArrivalFeed &) = delete;
+
+  private:
+    void scheduleNext();
+    void fire();
+
+    EventQueue &queue_;
+    std::vector<Cycles> times_;
+    Callback cb_;
+    std::uint64_t firstSeq_;
+    std::size_t next_ = 0;
+    EventId pending_ = kInvalidEventId;
 };
 
 } // namespace xui

@@ -1,6 +1,7 @@
 #include "kv/server.hh"
 
 #include <memory>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
@@ -31,38 +32,39 @@ runKvServer(const KvServerConfig &config)
     Cycles warmup = static_cast<Cycles>(
         config.warmupFraction * static_cast<double>(config.duration));
 
-    // Pre-generate the arrival schedule and drive it through the
-    // event queue (open loop: arrivals never wait for the server).
-    std::uint64_t offered = 0;
-    while (true) {
-        KvRequest req = gen.next();
-        if (req.arrival >= config.duration)
-            break;
-        ++offered;
-        sim.queue().scheduleAt(req.arrival, [&, req] {
-            // The UDP request reaches the server; the runtime gets a
-            // uthread whose work is the request's modelled service
-            // time.
-            UThread t;
-            t.id = req.id;
-            t.tag = req.op == KvOp::Scan ? 1 : 0;
-            t.totalWork = req.serviceTime;
-            t.onComplete = [&result, warmup,
-                            arrival = req.arrival](const UThread &ut) {
-                if (ut.enqueuedAt < warmup)
-                    return;
-                Cycles latency = ut.finishedAt - arrival;
-                if (ut.tag == 1)
-                    result.scanLatency.record(
-                        static_cast<std::int64_t>(latency));
-                else
-                    result.getLatency.record(
-                        static_cast<std::int64_t>(latency));
-            };
-            runtime.submit(std::move(t));
-        });
+    // Draw the whole arrival schedule, then feed it through the
+    // event queue one request at a time (open loop: arrivals never
+    // wait for the server).
+    std::vector<KvRequest> reqs;
+    std::vector<Cycles> times;
+    for (KvRequest req = gen.next(); req.arrival < config.duration;
+         req = gen.next()) {
+        reqs.push_back(req);
+        times.push_back(req.arrival);
     }
-    result.offered = offered;
+    result.offered = reqs.size();
+    ArrivalFeed feed(sim.queue(), std::move(times), [&](std::size_t k) {
+        const KvRequest &req = reqs[k];
+        // The UDP request reaches the server; the runtime gets a
+        // uthread whose work is the request's modelled service time.
+        UThread t;
+        t.id = req.id;
+        t.tag = req.op == KvOp::Scan ? 1 : 0;
+        t.totalWork = req.serviceTime;
+        t.onComplete = [&result, warmup,
+                        arrival = req.arrival](const UThread &ut) {
+            if (ut.enqueuedAt < warmup)
+                return;
+            Cycles latency = ut.finishedAt - arrival;
+            if (ut.tag == 1)
+                result.scanLatency.record(
+                    static_cast<std::int64_t>(latency));
+            else
+                result.getLatency.record(
+                    static_cast<std::int64_t>(latency));
+        };
+        runtime.submit(std::move(t));
+    });
 
     sim.runUntil(config.duration);
     // Achieved rate is what the server sustained over the offered

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
-#include "stats/distributions.hh"
 
 #include <algorithm>
 #include <cassert>
@@ -215,25 +214,29 @@ L3Fwd::run()
     double rate_per_nic = config_.load * capacity_per_cycle /
         static_cast<double>(config_.numNics);
 
-    std::uint64_t id = 1;
+    // Draw every arrival before the run (NIC n's stream is seeded
+    // after NIC n-1's draws); the queue then holds one pending
+    // arrival per NIC.
+    std::vector<std::vector<Cycles>> arrivals = drawArrivals(
+        routes_, config_.numNics, rate_per_nic, config_.duration, rng_);
+    std::vector<std::unique_ptr<ArrivalFeed>> feeds;
+    std::uint64_t first_id = 1;
     for (unsigned n = 0; n < config_.numNics; ++n) {
-        PoissonProcess proc(rate_per_nic, rng_.split());
-        while (true) {
-            Cycles at = proc.nextArrival();
-            if (at >= config_.duration)
-                break;
-            Packet pkt;
-            pkt.id = id++;
-            pkt.arrival = at;
-            pkt.dstIp = randomCoveredIp(routes_, rng_);
-            pkt.srcIp = static_cast<std::uint32_t>(rng_.next());
-            ++result_.offered;
-            sim_.queue().scheduleAt(
-                at, [this, n, pkt] { onArrival(n, pkt); });
-        }
+        std::size_t count = arrivals[n].size();
+        result_.offered += count;
+        feeds.push_back(std::make_unique<ArrivalFeed>(
+            sim_.queue(), std::move(arrivals[n]),
+            [this, n, first_id](std::size_t k) {
+                Packet pkt;
+                pkt.id = first_id + k;
+                pkt.arrival = sim_.now();
+                onArrival(n, pkt);
+            }));
+        first_id += count;
     }
 
     sim_.queue().runAll();
+    result_.eventPoolSize = sim_.queue().poolSize();
 
     for (const auto &nic : nics_)
         result_.dropped += nic->dropped();

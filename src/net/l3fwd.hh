@@ -108,6 +108,10 @@ struct L3FwdResult
     std::uint64_t missedRecovered = 0;
     /** Level-trigger refires without an RX edge. */
     std::uint64_t levelRedeliveries = 0;
+
+    /** EventQueue::poolSize() after the run: the peak number of
+     * simultaneously pending events (host-side work counter). */
+    std::size_t eventPoolSize = 0;
 };
 
 /** The l3fwd application simulation. */

@@ -17,12 +17,13 @@
 namespace xui
 {
 
-/** One 64-byte IPv4 UDP packet (headers only; timing-relevant). */
+/**
+ * One 64-byte IPv4 UDP packet, timing-relevant fields only: the
+ * route lookup is a modelled cost, so no address is carried.
+ */
 struct Packet
 {
     std::uint64_t id = 0;
-    std::uint32_t srcIp = 0;
-    std::uint32_t dstIp = 0;
     std::uint16_t size = 64;
     /** Wire arrival time at the NIC. */
     Cycles arrival = 0;

@@ -2,6 +2,8 @@
 
 #include <unordered_set>
 
+#include "stats/distributions.hh"
+
 namespace xui
 {
 
@@ -71,6 +73,23 @@ randomCoveredIp(const std::vector<RouteSpec> &routes, Rng &rng)
         : static_cast<std::uint32_t>(rng.next()) &
             (0xffffffffu >> r.depth);
     return r.prefix | host_bits;
+}
+
+std::vector<std::vector<Cycles>>
+drawArrivals(const std::vector<RouteSpec> &routes, unsigned nics,
+             double rate_per_nic, Cycles duration, Rng &rng)
+{
+    std::vector<std::vector<Cycles>> arrivals(nics);
+    for (std::vector<Cycles> &times : arrivals) {
+        PoissonProcess proc(rate_per_nic, rng.split());
+        for (Cycles at = proc.nextArrival(); at < duration;
+             at = proc.nextArrival()) {
+            (void)randomCoveredIp(routes, rng);
+            (void)rng.next();
+            times.push_back(at);
+        }
+    }
+    return arrivals;
 }
 
 } // namespace xui

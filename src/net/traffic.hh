@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "des/time.hh"
 #include "stats/rng.hh"
 
 namespace xui
@@ -40,6 +41,19 @@ std::vector<RouteSpec> randomRoutes(std::size_t count, Rng &rng);
 /** Pick a destination IP covered by one of the routes. */
 std::uint32_t randomCoveredIp(const std::vector<RouteSpec> &routes,
                               Rng &rng);
+
+/**
+ * Draw every NIC's wire arrival cycles in [0, duration): Poisson at
+ * `rate_per_nic` arrivals per cycle, NIC by NIC, each from its own
+ * `rng.split()` stream. Each arrival also draws a destination
+ * address (randomCoveredIp) and a source address from `rng`, then
+ * discards both: nothing reads them, but the draws advance `rng`,
+ * which seeds every later NIC's stream.
+ * @return one non-decreasing arrival list per NIC.
+ */
+std::vector<std::vector<Cycles>> drawArrivals(
+    const std::vector<RouteSpec> &routes, unsigned nics,
+    double rate_per_nic, Cycles duration, Rng &rng);
 
 } // namespace xui
 

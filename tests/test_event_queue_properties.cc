@@ -1,20 +1,24 @@
 /**
  * @file
- * Property and differential tests for the calendar-queue EventQueue
- * rewrite. The queue's contract (time order, same-cycle FIFO,
- * cancel semantics, generation-checked handles, bounded pool) is
- * checked three ways:
+ * Property and differential tests for the EventQueue (an indexed
+ * 4-ary heap) and the ArrivalFeed built on it. The queue's contract
+ * (time order, same-cycle FIFO, reserved sequence numbers, cancel
+ * semantics, generation-checked handles, bounded pool) is checked
+ * three ways:
  *
  *  - randomized differential runs against a trivially correct
- *    (when, seq)-ordered reference model, with delays spanning all
- *    three wheel levels and the overflow horizon;
- *  - targeted unit tests for the contract edges the old
- *    binary-heap implementation got wrong (cancel of a fired
- *    handle corrupted the live count) or could not provide
- *    (O(1) cancel with immediate slot reclaim);
+ *    (when, seq)-ordered reference model, with delays from one cycle
+ *    to past 2^30 cycles and schedules that mix ordinary and
+ *    reserved sequence numbers; plus a differential of lazily fed
+ *    arrival streams against scheduling the same arrivals up front;
+ *  - targeted unit tests for the contract edges the old lazy-cancel
+ *    binary heap got wrong (cancel of a fired handle corrupted the
+ *    live count) or could not provide (cancel with immediate slot
+ *    reclaim);
  *  - a pinned DES-tier golden workload whose firing digest was
- *    captured while both the old and the new implementation were
- *    built side by side and verified to agree event for event.
+ *    captured while the original binary heap and the calendar wheel
+ *    that replaced it were built side by side and verified to agree
+ *    event for event; the indexed heap reproduces it.
  */
 
 #include <gtest/gtest.h>
@@ -89,9 +93,10 @@ struct LiveRef
 
 /**
  * Drive one randomized schedule/cancel/run workload against the
- * model. Delay spans are chosen to exercise level 0 (single
- * cycles), level 1 (1K..1M), level 2 (1M..1G) and the overflow
- * list (>= 2^30), plus the cascades between them as time advances.
+ * model. Delays span single cycles to beyond 2^30 cycles. About a
+ * third of the schedules use a sequence number reserved earlier
+ * (reserveSeqs), so seqs reach the queue out of order, as they do
+ * from an ArrivalFeed.
  */
 void
 runDifferential(std::uint64_t seed)
@@ -105,11 +110,13 @@ runDifferential(std::uint64_t seed)
     std::vector<LiveRef> live;
     std::uint64_t nextTag = 1;
     std::uint64_t nextSeq = 0;
+    /** Reserved, not yet used sequence numbers. */
+    std::vector<std::uint64_t> reserved;
 
     for (int op = 0; op < 400; ++op) {
         std::uint64_t pick = rng.nextBounded(100);
         if (pick < 60) {
-            // Schedule with a level-crossing delay distribution.
+            // Delays from one cycle to past 2^30 cycles.
             Cycles delay;
             std::uint64_t span = rng.nextBounded(100);
             if (span < 50)
@@ -122,12 +129,30 @@ runDifferential(std::uint64_t seed)
                 delay = (Cycles(1) << 30) + rng.nextBounded(1 << 12);
             Cycles when = q.now() + delay;
             std::uint64_t tag = nextTag++;
-            EventId id = q.scheduleAfter(
-                delay, [&fired, tag] { fired.push_back(tag); });
+            auto cb = [&fired, tag] { fired.push_back(tag); };
+            std::uint64_t mode = rng.nextBounded(6);
+            if (mode == 0) {
+                // Reserve a block for later schedules.
+                std::uint64_t n = 1 + rng.nextBounded(4);
+                ASSERT_EQ(q.reserveSeqs(n), nextSeq);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    reserved.push_back(nextSeq++);
+            }
+            EventId id;
+            std::uint64_t seq;
+            if (mode <= 1 && !reserved.empty()) {
+                std::size_t i = rng.nextBounded(reserved.size());
+                seq = reserved[i];
+                reserved[i] = reserved.back();
+                reserved.pop_back();
+                id = q.scheduleAt(when, seq, cb);
+            } else {
+                seq = nextSeq++;
+                id = q.scheduleAfter(delay, cb);
+            }
             ASSERT_NE(id, kInvalidEventId);
-            model.schedule(when, nextSeq, tag);
-            live.push_back(LiveRef{id, when, nextSeq});
-            ++nextSeq;
+            model.schedule(when, seq, tag);
+            live.push_back(LiveRef{id, when, seq});
         } else if (pick < 80 && !live.empty()) {
             // Cancel a random previously returned handle. The model
             // knows whether it already fired (or was cancelled), so
@@ -170,11 +195,125 @@ TEST(EventQueueProperties, DifferentialAgainstReferenceModel)
         runDifferential(seed);
 }
 
+namespace
+{
+
+/** One fired event: (tag, fire time). */
+using Firing = std::pair<std::uint64_t, Cycles>;
+
+/**
+ * Two arrival sources plus other traffic, run either with every
+ * arrival scheduled up front or through one ArrivalFeed per source.
+ * Source s's arrival k has tag (s + 1) * 1000 + k. Each arrival
+ * schedules a follow-up (tag + 100000) zero to two cycles later,
+ * which ties with later arrivals; events scheduled before and after
+ * the sources at arrival times tie with them as well.
+ */
+std::vector<Firing>
+runSources(const std::vector<std::vector<Cycles>> &sources, bool lazy)
+{
+    EventQueue q;
+    std::vector<Firing> out;
+    auto record = [&out, &q](std::uint64_t tag) {
+        out.emplace_back(tag, q.now());
+    };
+    auto arrival = [&q, &record](std::uint64_t tag) {
+        record(tag);
+        Cycles delay = tag % 3;
+        q.scheduleAfter(delay, [&record, tag] {
+            record(tag + 100000);
+        });
+    };
+    for (Cycles t : {Cycles(0), Cycles(5), Cycles(9)})
+        q.scheduleAt(t, [&record, t] { record(1 + t); });
+
+    std::vector<std::unique_ptr<ArrivalFeed>> feeds;
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+        const std::uint64_t base = (s + 1) * 1000;
+        if (lazy) {
+            feeds.push_back(std::make_unique<ArrivalFeed>(
+                q, sources[s], [&arrival, base](std::size_t k) {
+                    arrival(base + k);
+                }));
+        } else {
+            for (std::size_t k = 0; k < sources[s].size(); ++k)
+                q.scheduleAt(sources[s][k], [&arrival, base, k] {
+                    arrival(base + k);
+                });
+        }
+    }
+    for (Cycles t : {Cycles(5), Cycles(9), Cycles(12)})
+        q.scheduleAt(t, [&record, t] { record(50 + t); });
+    q.runAll();
+    return out;
+}
+
+} // namespace
+
+TEST(EventQueueProperties, ArrivalFeedMatchesPreScheduling)
+{
+    // Lazily fed arrivals must fire exactly where the same arrivals
+    // scheduled up front fire: same-cycle ties between the sources,
+    // within one source, and with events scheduled before, after and
+    // during the run all resolve by the reserved seqs. A feed that
+    // scheduled arrival k + 1 under an ordinary (later) seq would
+    // fire it after everything scheduled in between.
+    const std::vector<std::vector<Cycles>> fixed = {
+        {0, 5, 5, 9, 9, 12, 20},
+        {5, 9, 10, 12, 12, 21},
+    };
+    std::vector<Firing> eager = runSources(fixed, false);
+    ASSERT_EQ(eager.size(), 3u + 3u + 2u * 13u);
+    EXPECT_EQ(runSources(fixed, true), eager);
+
+    Rng rng(0xa11f);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<std::vector<Cycles>> sources(2 +
+                                                 rng.nextBounded(3));
+        for (auto &times : sources) {
+            Cycles t = 0;
+            std::size_t n = rng.nextBounded(40);
+            for (std::size_t k = 0; k < n; ++k) {
+                t += rng.nextBounded(4);
+                times.push_back(t);
+            }
+        }
+        ASSERT_EQ(runSources(sources, true), runSources(sources, false))
+            << "trial " << trial;
+    }
+}
+
+TEST(EventQueueProperties, ArrivalFeedHoldsOnePendingEvent)
+{
+    // The feed keeps exactly one arrival pending, so the pool stays
+    // at one slot however long the stream; destroying the feed
+    // cancels the pending arrival.
+    EventQueue q;
+    std::vector<Cycles> times;
+    for (Cycles t = 0; t < 10000; t += 3)
+        times.push_back(t);
+    std::size_t fired = 0;
+    {
+        ArrivalFeed feed(q, times, [&](std::size_t k) {
+            EXPECT_EQ(q.now(), times[k]);
+            EXPECT_EQ(k, fired);
+            ++fired;
+            EXPECT_EQ(q.pending(), k + 1 < times.size() ? 1u : 0u);
+        });
+        EXPECT_EQ(q.pending(), 1u);
+        q.runUntil(5000);
+        EXPECT_EQ(fired, 1667u);
+        EXPECT_EQ(q.pending(), 1u);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.poolSize(), 1u);
+}
+
 TEST(EventQueueProperties, OverflowHorizonFiresInOrder)
 {
-    // Events beyond the 2^30-cycle wheel horizon live in the
-    // unsorted overflow list and must still fire in (when, seq)
-    // order after cascading back into the wheels.
+    // Events billions of cycles out (past the 2^30-cycle overflow
+    // horizon of the calendar wheel this queue replaced) still fire
+    // in (when, seq) order.
     EventQueue q;
     std::vector<int> order;
     q.scheduleAt((Cycles(1) << 32) + 5, [&] { order.push_back(4); });
@@ -189,9 +328,8 @@ TEST(EventQueueProperties, OverflowHorizonFiresInOrder)
 
 TEST(EventQueueProperties, SameCycleFifoSurvivesLevelCascade)
 {
-    // Ten ties scheduled for a far cycle pass through level 2 and
-    // level 1 before draining; the seq-sorted drain must still
-    // yield scheduling order.
+    // Ten ties scheduled for a far cycle (once cascaded through two
+    // wheel levels) fire in scheduling order.
     EventQueue q;
     const Cycles when = (Cycles(1) << 21) + 123;
     std::vector<int> order;
@@ -206,7 +344,7 @@ TEST(EventQueueProperties, SameCycleFifoSurvivesLevelCascade)
 TEST(EventQueueProperties, ScheduleIntoCycleBeingDrainedIsFifo)
 {
     // An event firing at cycle T may schedule more work for cycle T
-    // itself; the new work joins the tail of the active drain list.
+    // itself; the new work fires after everything already due at T.
     EventQueue q;
     std::vector<int> order;
     q.scheduleAt(50, [&] {
@@ -268,16 +406,16 @@ TEST(EventQueueProperties, GenerationReuseNeverResurrects)
 TEST(EventQueueProperties, PeekNextTimeTracksHeadAcrossLevels)
 {
     // peekNextTime() must report the exact next fire time without
-    // firing anything, across all wheel levels and the overflow
-    // horizon, and must see through cancellations.
+    // firing anything, for near and far events, and must see
+    // through cancellations.
     EventQueue q;
     EXPECT_EQ(q.peekNextTime(), EventQueue::kNoPending);
 
-    EventId far = q.scheduleAt(1u << 22, [] {});  // overflow range
+    EventId far = q.scheduleAt(1u << 22, [] {});
     EXPECT_EQ(q.peekNextTime(), Cycles(1) << 22);
-    q.scheduleAt(500, [] {});  // level-1 range
+    q.scheduleAt(500, [] {});
     EXPECT_EQ(q.peekNextTime(), 500u);
-    EventId near = q.scheduleAt(7, [] {});  // level-0 range
+    EventId near = q.scheduleAt(7, [] {});
     EXPECT_EQ(q.peekNextTime(), 7u);
 
     // Cancelling the head re-exposes the next-nearest event.

@@ -151,6 +151,46 @@ TEST(Traffic, SixteenThousandRoutesInstall)
     }
 }
 
+TEST(Traffic, ArrivalStreamPinned)
+{
+    // FNV digest of four NICs' arrival cycles and the stream's next
+    // value after them, taken from the draw loop L3Fwd::run had
+    // before drawArrivals existed. Each arrival's discarded
+    // destination and source draws advance the stream that seeds
+    // every later NIC, so dropping either draw moves NICs 1-3 and
+    // the digest.
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint64_t digest;
+        std::uint64_t nextValue;
+    };
+    const Pin pins[] = {
+        {1, 0xcf3e20eafb04b247ull, 0x95e814ec17f035d5ull},
+        {2, 0xe7dd60dc1753d662ull, 0xbef91c0907fc7026ull},
+        {3, 0x18dae3ded41ae577ull, 0x6bddb7def7bc9ccbull},
+    };
+    for (const Pin &pin : pins) {
+        Rng rng(pin.seed);
+        std::vector<RouteSpec> routes = randomRoutes(800, rng);
+        std::vector<std::vector<Cycles>> arrivals =
+            drawArrivals(routes, 4, 1.0 / 500.0, 200'000, rng);
+        ASSERT_EQ(arrivals.size(), 4u);
+        Fnv1a h;
+        for (const std::vector<Cycles> &times : arrivals) {
+            EXPECT_GT(times.size(), 300u);
+            EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+            h.update(times.size());
+            for (Cycles t : times) {
+                EXPECT_LT(t, 200'000u);
+                h.update(t);
+            }
+        }
+        EXPECT_EQ(h.value(), pin.digest) << "seed " << pin.seed;
+        EXPECT_EQ(rng.next(), pin.nextValue) << "seed " << pin.seed;
+    }
+}
+
 // ----------------------------------------------------------------------
 // NIC
 // ----------------------------------------------------------------------
@@ -303,6 +343,22 @@ TEST(L3Fwd, MwaitWakeSlowerThanPollDetect)
     L3FwdResult mwait = quickL3(RxMode::MwaitSingleQueue, 0.1, 1);
     // C-state exit costs more than a positive poll.
     EXPECT_GE(mwait.latency.p50(), poll.latency.p50());
+}
+
+TEST(L3Fwd, PendingEventsStayOrderOfNics)
+{
+    // Arrivals are fed one per NIC, so the event pool peaks near the
+    // NIC count (one arrival per NIC plus the service loop and its
+    // timers), not at the number of packets offered.
+    for (RxMode mode : {RxMode::Polling, RxMode::XuiForwarded}) {
+        for (unsigned nics : {1u, 4u, 8u}) {
+            L3FwdResult r = quickL3(mode, 0.7, nics);
+            ASSERT_GT(r.offered, 10000u);
+            EXPECT_GE(r.eventPoolSize, nics);
+            EXPECT_LE(r.eventPoolSize, nics + 2)
+                << nics << " nics, mode " << static_cast<int>(mode);
+        }
+    }
 }
 
 TEST(L3Fwd, MultiQueueStillConservesPackets)
